@@ -223,8 +223,8 @@ def _element_loads(mesh, load):
         conn = np.stack([e, e + 1], axis=1)
         vals = np.stack([I_l, I_r], axis=1)
         return conn, vals
-    _, _, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
-    vals = ld.area_loads(load, xl, xr, yb, yt)
+    conn = _element_tables_2d(mesh)[2]
+    vals = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
     return conn, vals
 
 
@@ -364,7 +364,7 @@ def _contraction_2d(mesh, material, load, neumann, c_full, free_mask):
     s_hy = coeff * (a / hx - hx / hy**2 * b)
 
     Cm = np.where(free_mask[conn], C, 0.0)
-    d_dxl, d_dxr, d_dyb, d_dyt = ld.area_load_derivs(load, xl, xr, yb, yt)
+    d_dxl, d_dxr, d_dyb, d_dyt = ld.area_load_derivs(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
     lx_l = np.einsum("ei,ei->e", Cm, d_dxl)
     lx_r = np.einsum("ei,ei->e", Cm, d_dxr)
     ly_b = np.einsum("ei,ei->e", Cm, d_dyb)

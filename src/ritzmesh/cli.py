@@ -15,7 +15,9 @@ import sys
 import numpy as np
 
 from . import experiments, problems, sampling, training
-from .errors import ConfigurationError, DegenerateMeshError, SolverError
+from .errors import (ConfigurationError, DegenerateMeshError, InconsistentReferenceError,
+                     SolverError)
+from .optim import lr_at
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,18 +41,24 @@ def load_config(path):
 def build_problem(cfg):
     if "problem" not in cfg:
         raise ConfigurationError("config is missing the 'problem' key")
-    return problems.make_problem(
-        cfg["problem"],
-        sigma=cfg.get("sigma"),
-        n_elements=cfg.get("N"),
-        **cfg.get("problem_options", {}),
-    )
+    try:
+        return problems.make_problem(
+            cfg["problem"],
+            sigma=cfg.get("sigma"),
+            n_elements=cfg.get("N"),
+            **cfg.get("problem_options", {}),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad problem config: {exc}") from exc
 
 
 def build_grid(cfg, family, seed):
     counts = cfg.get("grid", {}).get("counts")
-    axes = sampling.default_axes(family, counts=counts)
-    return sampling.split_train_test(axes, seed=seed)
+    try:
+        axes = sampling.default_axes(family, counts=counts)
+        return sampling.split_train_test(axes, seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad grid config: {exc}") from exc
 
 
 def apply_preset(cfg, preset):
@@ -66,8 +74,12 @@ def apply_preset(cfg, preset):
 
 
 def _schedule(cfg, default=((0, 1e-2),)):
-    pairs = cfg.get("schedule", list(default))
-    return [(float(e), float(lr)) for e, lr in pairs]
+    try:
+        pairs = [(float(e), float(lr)) for e, lr in cfg.get("schedule", list(default))]
+        lr_at(pairs, 0)   # rejects an empty schedule or one not starting at 0
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad schedule: {exc}") from exc
+    return pairs
 
 
 def cmd_solve(cfg, out, seed):
@@ -206,7 +218,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateMeshError, SolverError) as exc:
+    except (DegenerateMeshError, SolverError, InconsistentReferenceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -9,21 +9,24 @@ element is exact to roundoff:
 Per-element hat loads and their derivatives with respect to element
 endpoints follow from the Leibniz rule; these derivatives feed the
 assembly gradient.  The quadrature path maps a Gauss-Legendre rule
-affinely and therefore has closed endpoint derivatives as well.
+affinely and therefore has closed endpoint derivatives as well.  A 2D
+forcing is declared as a sum of products of 1D factors, so its tensor
+rule over bilinear hats factors into 1D hat loads on each axis.
 
 Families:
     constant       f = c                                 (exact)
     arctan1d       f = 2 a^3 (x-s) / (1 + a^2 (x-s)^2)^2 (exact)
     power          f = sg (1-sg) x^(sg-2)                (exact only)
     sine_material  f = 4 pi^2 sin(2 pi x)                (exact)
-    arctan2d       separable arctan product forcing      (quadrature only)
+    arctan2d       separable sum of 1D products; per-axis quadrature
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -61,8 +64,11 @@ class LoadSpec:
                 raise ConfigurationError("power family requires sigma > 0.5")
         if self.family == "arctan1d" and not self.params["alpha"] > 0:
             raise ConfigurationError("arctan1d requires alpha > 0")
-        if self.mode == "quadrature" and not 1 <= self.order <= 64:
-            raise ConfigurationError("quadrature order must be in [1, 64]")
+        if self.mode == "quadrature" and (isinstance(self.order, bool)
+                                          or not isinstance(self.order, Integral)
+                                          or not 1 <= self.order <= 64):
+            raise ConfigurationError(
+                f"quadrature order must be an integer in [1, 64], got {self.order!r}")
 
     def rule(self) -> QuadratureRule:
         return gauss_legendre(self.order)
@@ -355,106 +361,87 @@ def _ujp(alpha, s, t):
     return alpha / (1.0 + (alpha * (t - s)) ** 2)
 
 
-def arctan2d_value(alpha, s1, s2, x, y):
-    return _arctan_f(alpha, s1, x) * _uj(alpha, s2, y) + _uj(alpha, s1, x) * _arctan_f(alpha, s2, y)
+def _separable_terms(load: LoadSpec):
+    """A 2D forcing as a sum of products fx(x) fy(y).
 
-
-def arctan2d_dx(alpha, s1, s2, x, y):
-    return _arctan_fp(alpha, s1, x) * _uj(alpha, s2, y) + _ujp(alpha, s1, x) * _arctan_f(alpha, s2, y)
-
-
-def arctan2d_dy(alpha, s1, s2, x, y):
-    return _arctan_f(alpha, s1, x) * _ujp(alpha, s2, y) + _uj(alpha, s1, x) * _arctan_fp(alpha, s2, y)
-
-
-def forcing_value_2d(load: LoadSpec, x, y):
-    p = load.params
-    if load.family == "constant":
-        return np.full(np.broadcast(x, y).shape, float(p["value"]))
-    if load.family == "arctan2d":
-        return arctan2d_value(p["alpha"], p["s1"], p["s2"], x, y)
-    raise ConfigurationError(f"{load.family} is not a 2D forcing")
-
-
-def forcing_gradient_2d(load: LoadSpec, x, y):
-    p = load.params
-    if load.family == "constant":
-        z = np.zeros(np.broadcast(x, y).shape)
-        return z, z
-    if load.family == "arctan2d":
-        return (arctan2d_dx(p["alpha"], p["s1"], p["s2"], x, y),
-                arctan2d_dy(p["alpha"], p["s1"], p["s2"], x, y))
-    raise ConfigurationError(f"{load.family} is not a 2D forcing")
-
-
-def area_loads(load: LoadSpec, xl, xr, yb, yt):
-    """Bilinear hat loads over rectangles, shape (n_elements, 4).
-
-    Local node order is counterclockwise from the lower-left corner.
-    Constant forcing is integrated in closed form; anything else uses
-    the tensorized Gauss-Legendre rule of the load's order.
+    Each term is ((fx, fx'), (fy, fy')), a pair of 1D (value, derivative)
+    callables.  arctan2d: f = f1(x) u2(y) + u1(x) f2(y).
     """
-    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
-    yb, yt = np.asarray(yb, dtype=float), np.asarray(yt, dtype=float)
+    if load.family != "arctan2d":
+        raise ConfigurationError(f"{load.family} is not a separable 2D forcing")
+    a, s1, s2 = load.params["alpha"], load.params["s1"], load.params["s2"]
+    f1 = (partial(_arctan_f, a, s1), partial(_arctan_fp, a, s1))
+    f2 = (partial(_arctan_f, a, s2), partial(_arctan_fp, a, s2))
+    u1 = (partial(_uj, a, s1), partial(_ujp, a, s1))
+    u2 = (partial(_uj, a, s2), partial(_ujp, a, s2))
+    return ((f1, u2), (u1, f2))
+
+
+# falling (0) or rising (1) 1D hat of each counterclockwise local node
+_X_HAT = np.array([0, 1, 1, 0])
+_Y_HAT = np.array([0, 0, 1, 1])
+
+
+def _tensor(ax, ay):
+    """Element rows (ny*nx, 4) from per-interval hat factors ax (nx, 2), ay (ny, 2)."""
+    return (ay[:, None, _Y_HAT] * ax[None, :, _X_HAT]).reshape(-1, 4)
+
+
+def _axis_loads(fun, nodes, rule):
+    """(falling, rising) hat loads of one factor on every axis interval."""
+    return np.stack(line_hat_loads(fun, nodes[:-1], nodes[1:], rule), axis=1)
+
+
+def _axis_load_derivs(fun, fun_prime, nodes, rule):
+    """_axis_loads differentiated by each interval's left and right node."""
+    dl_dl, dl_dr, dr_dl, dr_dr = line_hat_load_derivs(fun, fun_prime, nodes[:-1], nodes[1:], rule)
+    return np.stack([dl_dl, dr_dl], axis=1), np.stack([dl_dr, dr_dr], axis=1)
+
+
+def area_loads(load: LoadSpec, xs, ys):
+    """Bilinear hat loads over the tensor mesh on axis nodes xs, ys.
+
+    Returns shape (n_elements, 4), elements row by row from the bottom
+    and local nodes counterclockwise from the lower-left corner.
+    Constant forcing is integrated in closed form.  A separable forcing
+    sum_k fx_k(x) fy_k(y) under the tensor Gauss-Legendre rule factors
+    into 1D hat loads, so each factor is integrated once per axis
+    interval and the element loads are their products.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if load.family == "constant":
         c = load.params["value"]
-        quarter = 0.25 * c * (xr - xl) * (yt - yb)
+        hx, hy = (h.ravel() for h in np.meshgrid(np.diff(xs), np.diff(ys)))
+        quarter = 0.25 * c * hx * hy
         return np.repeat(quarter[:, None], 4, axis=1)
     rule = load.rule()
-    X, Wx = rule.mapped(xl, xr)          # (E, q)
-    Y, Wy = rule.mapped(yb, yt)
-    F = forcing_value_2d(load, X[:, :, None], Y[:, None, :])   # (E, q, q)
-    Phi = _bilinear_reference(rule)                            # (4, q, q)
-    return np.einsum("eq,er,eqr,iqr->ei", Wx, Wy, F, Phi)
+    return sum(_tensor(_axis_loads(fx, xs, rule), _axis_loads(fy, ys, rule))
+               for (fx, _), (fy, _) in _separable_terms(load))
 
 
-def area_load_derivs(load: LoadSpec, xl, xr, yb, yt):
-    """Derivatives of area_loads with respect to (xl, xr, yb, yt).
+def area_load_derivs(load: LoadSpec, xs, ys):
+    """Derivatives of area_loads with respect to each element's (xl, xr, yb, yt).
 
     Returns four arrays of shape (n_elements, 4).
     """
-    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
-    yb, yt = np.asarray(yb, dtype=float), np.asarray(yt, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if load.family == "constant":
         c = load.params["value"]
-        hx, hy = xr - xl, yt - yb
+        hx, hy = (h.ravel() for h in np.meshgrid(np.diff(xs), np.diff(ys)))
         d_hx = np.repeat((0.25 * c * hy)[:, None], 4, axis=1)
         d_hy = np.repeat((0.25 * c * hx)[:, None], 4, axis=1)
         return -d_hx, d_hx, -d_hy, d_hy
     rule = load.rule()
-    X, Wx = rule.mapped(xl, xr)
-    Y, Wy = rule.mapped(yb, yt)
-    halfx = 0.5 * (xr - xl)
-    halfy = 0.5 * (yt - yb)
-    lam = 0.5 * (rule.points + 1.0)
-    w = rule.weights
-    F = forcing_value_2d(load, X[:, :, None], Y[:, None, :])
-    Fx, Fy = forcing_gradient_2d(load, X[:, :, None], Y[:, None, :])
-    Phi = _bilinear_reference(rule)
-    base = np.einsum("eq,er,eqr,iqr->ei", np.broadcast_to(w, X.shape), Wy, F, Phi)
-    basey = np.einsum("eq,er,eqr,iqr->ei", Wx, np.broadcast_to(w, Y.shape), F, Phi)
-    sx_l = np.einsum("eq,er,eqr,iqr->ei", Wx * (1.0 - lam), Wy, Fx, Phi)
-    sx_r = np.einsum("eq,er,eqr,iqr->ei", Wx * lam, Wy, Fx, Phi)
-    sy_b = np.einsum("eq,er,eqr,iqr->ei", Wx, Wy * (1.0 - lam), Fy, Phi)
-    sy_t = np.einsum("eq,er,eqr,iqr->ei", Wx, Wy * lam, Fy, Phi)
-    # jacobian term (half factors) plus the moving-point term
-    d_dxl = -0.5 * base + sx_l
-    d_dxr = 0.5 * base + sx_r
-    d_dyb = -0.5 * basey + sy_b
-    d_dyt = 0.5 * basey + sy_t
+    d_dxl = d_dxr = d_dyb = d_dyt = 0.0
+    for (fx, fxp), (fy, fyp) in _separable_terms(load):
+        ax, ay = _axis_loads(fx, xs, rule), _axis_loads(fy, ys, rule)
+        dax_l, dax_r = _axis_load_derivs(fx, fxp, xs, rule)
+        day_b, day_t = _axis_load_derivs(fy, fyp, ys, rule)
+        d_dxl = d_dxl + _tensor(dax_l, ay)
+        d_dxr = d_dxr + _tensor(dax_r, ay)
+        d_dyb = d_dyb + _tensor(ax, day_b)
+        d_dyt = d_dyt + _tensor(ax, day_t)
     return d_dxl, d_dxr, d_dyb, d_dyt
-
-
-@lru_cache(maxsize=16)
-def _bilinear_reference_cached(order):
-    rule = gauss_legendre(order)
-    lam = 0.5 * (rule.points + 1.0)
-    lx, ly = np.meshgrid(lam, lam, indexing="ij")
-    return np.stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
-
-
-def _bilinear_reference(rule: QuadratureRule):
-    return _bilinear_reference_cached(rule.order)
 
 
 # ---------------------------------------------------------------------------

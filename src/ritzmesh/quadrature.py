@@ -1,6 +1,8 @@
 """Gauss-Legendre quadrature on the reference interval [-1, 1]."""
 
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -9,6 +11,10 @@ import numpy as np
 class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def order(self):
@@ -29,15 +35,17 @@ class QuadratureRule:
         return pts, wts
 
 
+# typed: 2.0 and True must fail the check, not hit the entries of 2 and 1
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(q: int) -> QuadratureRule:
     """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1].
 
     Roots of the degree-q Legendre polynomial by Newton iteration on
     the three-term recurrence, converged to ~1e-15; exact for
-    polynomials up to degree 2q - 1.
+    polynomials up to degree 2q - 1.  Rules are cached (read-only).
     """
-    if not 1 <= q <= 64:
-        raise ValueError(f"order must be in [1, 64], got {q}")
+    if isinstance(q, bool) or not isinstance(q, Integral) or not 1 <= q <= 64:
+        raise ValueError(f"order must be an integer in [1, 64], got {q!r}")
     if q == 1:
         return QuadratureRule(points=np.zeros(1), weights=np.full(1, 2.0))
     k = np.arange(q)

@@ -133,6 +133,33 @@ class TestExitCodes:
         code = main(["adapt", "--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("order", ["x", 2.5])
+    def test_bad_quadrature_order(self, tmp_path, order):
+        cfg = write_config(tmp_path, "c.json", {"problem": "arctan2d", "N": 4,
+                                                "problem_options": {"order": order}})
+        assert main(["adapt", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_grid_counts_of_wrong_length(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d", "N": 8,
+                                                "grid": {"counts": [3]}})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_schedule_not_starting_at_zero(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d", "N": 8,
+                                                "iterations": 5, "schedule": [[1, 1e-2]]})
+        assert main(["adapt", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_non_integer_element_count(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d", "N": "x"})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_inconsistent_reference_exit_code(self, tmp_path):
+        # one-point quadrature lets adaptation push J below J(u)
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": "arctan1d", "sigma": [50.0, 0.5], "N": 4, "iterations": 20,
+            "problem_options": {"mode": "quadrature", "order": 1}})
+        assert main(["adapt", "--config", cfg, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+
     def test_preset_supplies_schedule(self, tmp_path):
         cfg = write_config(tmp_path, "c.json",
                           {"problem": "arctan1d", "N": 8, "iterations": 5})

@@ -7,6 +7,8 @@ from ritzmesh.errors import ConfigurationError
 from ritzmesh.loads import (
     LoadSpec,
     arctan1d_neumann,
+    area_load_derivs,
+    area_loads,
     composite_integral,
     energy_norm_sq_arctan1d,
     energy_norm_sq_power,
@@ -56,6 +58,19 @@ class TestGaussLegendre:
             gauss_legendre(0)
         with pytest.raises(ValueError):
             gauss_legendre(65)
+
+    @pytest.mark.parametrize("q", [2.5, 2.0, True, "x"])
+    def test_non_integer_order(self, q):
+        with pytest.raises(ValueError):
+            gauss_legendre(q)
+
+    def test_cached_read_only(self):
+        rule = gauss_legendre(7)
+        assert gauss_legendre(7) is rule
+        with pytest.raises(ValueError):
+            rule.points[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
 
 
 def _oracle(load, xl, xr, a0, a1, panels=64, order=16):
@@ -152,16 +167,12 @@ class TestQuadratureLoads:
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
 
     def test_high_order_self_convergence_2d(self):
-        # per-element rule at orders 50 and 60 on a mesh-cell-sized
+        # rule at orders 50 and 60 on a one-element mesh, a mesh-cell-sized
         # rectangle crossing the front
-        from ritzmesh.loads import area_loads
         params = {"alpha": 10.0, "s1": 0.5, "s2": 0.5}
-        xl, xr = np.array([0.46875]), np.array([0.5])
-        yb, yt = np.array([0.5]), np.array([0.53125])
-        got50 = area_loads(LoadSpec("arctan2d", params, mode="quadrature", order=50),
-                           xl, xr, yb, yt)
-        got60 = area_loads(LoadSpec("arctan2d", params, mode="quadrature", order=60),
-                           xl, xr, yb, yt)
+        xs, ys = np.array([0.46875, 0.5]), np.array([0.5, 0.53125])
+        got50 = area_loads(LoadSpec("arctan2d", params, mode="quadrature", order=50), xs, ys)
+        got60 = area_loads(LoadSpec("arctan2d", params, mode="quadrature", order=60), xs, ys)
         assert np.max(np.abs(got50 - got60)) / np.max(np.abs(got60)) < 1e-9
 
     def test_power_quadrature_forbidden(self):
@@ -171,6 +182,110 @@ class TestQuadratureLoads:
     def test_arctan2d_exact_forbidden(self):
         with pytest.raises(ConfigurationError):
             LoadSpec("arctan2d", {"alpha": 10.0, "s1": 0.5, "s2": 0.5}, mode="exact")
+
+    @pytest.mark.parametrize("order", ["x", 2.5, 2.0, True, [2], 0, 65])
+    def test_bad_order_is_configuration_error(self, order):
+        with pytest.raises(ConfigurationError):
+            LoadSpec("arctan2d", {"alpha": 10.0, "s1": 0.5, "s2": 0.5},
+                     mode="quadrature", order=order)
+
+
+def _arctan_f(a, s, t):
+    return 2 * a**3 * (t - s) / (1 + (a * (t - s)) ** 2) ** 2
+
+
+def _arctan_fp(a, s, t):
+    return 2 * a**3 * (1 - 3 * (a * (t - s)) ** 2) / (1 + (a * (t - s)) ** 2) ** 3
+
+
+def _u(a, s, t):
+    return np.arctan(a * (t - s)) + np.arctan(a * s)
+
+
+def _up(a, s, t):
+    return a / (1 + (a * (t - s)) ** 2)
+
+
+def _tensor_oracle(load, xs, ys):
+    """Area loads and their endpoint derivatives by the full (E, q, q)
+    tensor rule: the forcing and its gradient at every quadrature point
+    of every element, contracted with the bilinear hats."""
+    a, s1, s2 = (load.params[k] for k in ("alpha", "s1", "s2"))
+    ey, ex = (i.ravel() for i in np.meshgrid(np.arange(ys.size - 1), np.arange(xs.size - 1),
+                                             indexing="ij"))
+    xl, xr, yb, yt = xs[ex], xs[ex + 1], ys[ey], ys[ey + 1]
+    rule = gauss_legendre(load.order)
+    lam, w = 0.5 * (rule.points + 1.0), rule.weights
+    X, Wx = rule.mapped(xl, xr)
+    Y, Wy = rule.mapped(yb, yt)
+    X, Y = X[:, :, None], Y[:, None, :]
+    F = _arctan_f(a, s1, X) * _u(a, s2, Y) + _u(a, s1, X) * _arctan_f(a, s2, Y)
+    Fx = _arctan_fp(a, s1, X) * _u(a, s2, Y) + _up(a, s1, X) * _arctan_f(a, s2, Y)
+    Fy = _arctan_f(a, s1, X) * _up(a, s2, Y) + _u(a, s1, X) * _arctan_fp(a, s2, Y)
+    lx, ly = np.meshgrid(lam, lam, indexing="ij")
+    Phi = np.stack([(1 - lx) * (1 - ly), lx * (1 - ly), lx * ly, (1 - lx) * ly])
+
+    def contract(wx, wy, G):
+        return np.einsum("eq,er,eqr,iqr->ei", wx, wy, G, Phi)
+
+    loads = contract(Wx, Wy, F)
+    base_x = contract(np.broadcast_to(w, Wx.shape), Wy, F)
+    base_y = contract(Wx, np.broadcast_to(w, Wy.shape), F)
+    derivs = (-0.5 * base_x + contract(Wx * (1 - lam), Wy, Fx),
+              0.5 * base_x + contract(Wx * lam, Wy, Fx),
+              -0.5 * base_y + contract(Wx, Wy * (1 - lam), Fy),
+              0.5 * base_y + contract(Wx, Wy * lam, Fy))
+    return loads, derivs
+
+
+def _random_axis(rng, n):
+    return np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=n))])
+
+
+class TestSeparableAreaLoads:
+    @pytest.mark.parametrize("q", [2, 10, 50])
+    def test_matches_tensor_oracle(self, q):
+        rng = np.random.default_rng(q)
+        for _ in range(3):
+            params = {"alpha": rng.uniform(1.0, 20.0), "s1": rng.uniform(0.05, 0.95),
+                      "s2": rng.uniform(0.05, 0.95)}
+            load = LoadSpec("arctan2d", params, mode="quadrature", order=q)
+            xs = _random_axis(rng, 7)
+            ys = _random_axis(rng, 5)
+            xs, ys = xs / xs[-1], ys / ys[-1]
+            ref_loads, ref_derivs = _tensor_oracle(load, xs, ys)
+            got = (area_loads(load, xs, ys),) + area_load_derivs(load, xs, ys)
+            for g, r in zip(got, (ref_loads,) + ref_derivs):
+                assert g.shape == (35, 4)
+                assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("load", [
+        LoadSpec("arctan2d", {"alpha": 12.0, "s1": 0.4, "s2": 0.65}, mode="quadrature", order=6),
+        LoadSpec("constant", {"value": 1.7}),
+    ])
+    def test_node_derivatives_match_fd(self, load):
+        # moving axis node j moves the right end of the elements left of
+        # it and the left end of those right of it
+        rng = np.random.default_rng(22)
+        xs = np.sort(rng.uniform(0.05, 0.95, size=5))
+        ys = np.sort(rng.uniform(0.05, 0.95, size=4))
+        ey, ex = (i.ravel() for i in np.meshgrid(np.arange(ys.size - 1),
+                                                 np.arange(xs.size - 1), indexing="ij"))
+        d_dxl, d_dxr, d_dyb, d_dyt = area_load_derivs(load, xs, ys)
+        step = 1e-7
+        for axis, nodes, e_of, d_lo, d_hi in ((0, xs, ex, d_dxl, d_dxr),
+                                              (1, ys, ey, d_dyb, d_dyt)):
+            for j in range(nodes.size):
+                up, down = nodes.copy(), nodes.copy()
+                up[j] += step
+                down[j] -= step
+                if axis == 0:
+                    fd = (area_loads(load, up, ys) - area_loads(load, down, ys)) / (2 * step)
+                else:
+                    fd = (area_loads(load, xs, up) - area_loads(load, xs, down)) / (2 * step)
+                want = (np.where((e_of == j)[:, None], d_lo, 0.0)
+                        + np.where((e_of + 1 == j)[:, None], d_hi, 0.0))
+                np.testing.assert_allclose(fd, want, rtol=2e-6, atol=1e-8)
 
 
 class TestLoadDerivatives:
