@@ -14,6 +14,7 @@ outside the differentiation path.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +46,9 @@ class DofLabeling:
     def __post_init__(self):
         if self.free.size + self.dirichlet.size != self.n_nodes:
             raise ValueError("free and dirichlet sets must partition the nodes")
+        if np.any(self.values != 0.0):
+            raise ValueError("nonzero Dirichlet values are not supported; "
+                             "the assembled load has no lifting term")
 
     @property
     def n_free(self):
@@ -194,18 +198,58 @@ def _check_material_resolved(mesh, material: MaterialField):
                 )
 
 
+def _connectivity_2d(nx, ny):
+    """Corner node indices (E, 4) of an nx-by-ny element grid, elements
+    row by row from the bottom, corners counterclockwise from lower-left."""
+    ex, ey = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
+    stride = nx + 1
+    ll = (ey * stride + ex).ravel()
+    return np.stack([ll, ll + 1, ll + stride + 1, ll + stride], axis=1)
+
+
 def _element_tables_2d(mesh: TensorMesh2D):
     """Per-element corner indices and endpoint coordinates."""
     nx = mesh.mesh_x.n_elements
     ny = mesh.mesh_y.n_elements
     ex, ey = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
     ex, ey = ex.ravel(), ey.ravel()
-    stride = nx + 1
-    ll = ey * stride + ex
-    conn = np.stack([ll, ll + 1, ll + stride + 1, ll + stride], axis=1)
     xs = mesh.mesh_x.nodes
     ys = mesh.mesh_y.nodes
-    return ex, ey, conn, xs[ex], xs[ex + 1], ys[ey], ys[ey + 1]
+    return ex, ey, _connectivity_2d(nx, ny), xs[ex], xs[ex + 1], ys[ey], ys[ey + 1]
+
+
+@lru_cache(maxsize=8)
+def _scatter_pattern(grid_shape, free_bytes):
+    """Symbolic assembly for an element grid and a free-node set.
+
+    grid_shape is (n_elements,) in 1D and (nx, ny) in 2D; free_bytes is
+    the int64 free-node index array as bytes.  Returns read-only int32
+    arrays (indptr, indices, sel, slot): the restricted CSR pattern,
+    rows and columns in the order of the free array with sorted column
+    indices, and for the raveled (E, k, k) element matrices, entry
+    sel[m] adds into data slot slot[m].  Entries touching a Dirichlet
+    node are not selected.
+    """
+    if len(grid_shape) == 1:
+        e = np.arange(grid_shape[0])
+        conn = np.stack([e, e + 1], axis=1)
+    else:
+        conn = _connectivity_2d(*grid_shape)
+    free = np.frombuffer(free_bytes, dtype=np.int64)
+    pos = np.full(conn.max() + 1, -1, dtype=np.int64)
+    pos[free] = np.arange(free.size)
+    k = conn.shape[1]
+    rows = pos[np.repeat(conn, k, axis=1)].ravel()
+    cols = pos[np.tile(conn, (1, k))].ravel()
+    sel = np.flatnonzero((rows >= 0) & (cols >= 0))
+    keys, slot = np.unique(rows[sel] * free.size + cols[sel], return_inverse=True)
+    counts = np.bincount(keys // free.size, minlength=free.size)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    out = tuple(np.ascontiguousarray(a, dtype=np.int32)
+                for a in (indptr, keys % free.size, sel, slot))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _element_loads(mesh, load):
@@ -232,14 +276,22 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
                     load: ld.LoadSpec, neumann: NeumannSpec | None = None) -> SparseSystem:
     """Assemble the restricted stiffness matrix and load vector.
 
-    The load vector collects forcing integrals, Neumann boundary terms,
-    and, for nonzero Dirichlet values, the lifting -b(u0, v).
+    The load vector collects forcing integrals and Neumann boundary
+    terms.  The stiffness pattern comes from _scatter_pattern, cached per
+    element grid and free set; each call computes element values only.
     """
     _check_material_resolved(mesh, material)
     if isinstance(mesh, Mesh1D):
-        B_full = _stiffness_full_1d(mesh, material)
+        grid_shape = (mesh.n_elements,)
+        K = _element_stiffness_1d(mesh, material)
     else:
-        B_full = _stiffness_full_2d(mesh, material)
+        grid_shape = (mesh.mesh_x.n_elements, mesh.mesh_y.n_elements)
+        K = _element_stiffness_2d(mesh, material)
+    free = np.asarray(labeling.free, dtype=np.int64)
+    indptr, indices, sel, slot = _scatter_pattern(grid_shape, free.tobytes())
+    data = np.bincount(slot, weights=K.ravel()[sel], minlength=indices.size)
+    B = sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
+    B.has_canonical_format = True
 
     rhs = np.zeros(labeling.n_nodes)
     conn, vals = _element_loads(mesh, load)
@@ -250,39 +302,24 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
 
     if neumann is not None:
         _apply_neumann(rhs, mesh, labeling, neumann)
-
-    B_free = B_full[labeling.free][:, labeling.free].tocsr()
-    B_free.sort_indices()
-    ell = rhs[labeling.free]
-    if labeling.dirichlet.size and np.any(labeling.values != 0.0):
-        lift = B_full[labeling.free][:, labeling.dirichlet] @ labeling.values
-        ell = ell - lift
-    return SparseSystem(B=B_free, ell=ell, labeling=labeling)
+    return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling)
 
 
-def _stiffness_full_1d(mesh: Mesh1D, material: MaterialField):
+def _element_stiffness_1d(mesh: Mesh1D, material: MaterialField):
+    """Element matrices (E, 2, 2): coeff/h [[1, -1], [-1, 1]]."""
     x = mesh.nodes
-    h = mesh.lengths
     mid = 0.5 * (x[:-1] + x[1:])
-    k = material.value_at_1d(mid) / h
-    e = np.arange(mesh.n_elements)
-    rows = np.concatenate([e, e, e + 1, e + 1])
-    cols = np.concatenate([e, e + 1, e, e + 1])
-    data = np.concatenate([k, -k, -k, k])
-    n = x.size
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    k = material.value_at_1d(mid) / mesh.lengths
+    return k[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _stiffness_full_2d(mesh: TensorMesh2D, material: MaterialField):
-    _, _, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
+def _element_stiffness_2d(mesh: TensorMesh2D, material: MaterialField):
+    """Element matrices (E, 4, 4) in counterclockwise local order."""
+    _, _, _, xl, xr, yb, yt = _element_tables_2d(mesh)
     hx = xr - xl
     hy = yt - yb
     coeff = material.value_at_2d(0.5 * (xl + xr), 0.5 * (yb + yt))
-    K = (coeff * (hy / hx))[:, None, None] * _AX + (coeff * (hx / hy))[:, None, None] * _AY
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    n = mesh.n_nodes
-    return sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return (coeff * (hy / hx))[:, None, None] * _AX + (coeff * (hx / hy))[:, None, None] * _AY
 
 
 def _apply_neumann(rhs, mesh, labeling, neumann: NeumannSpec):
@@ -389,7 +426,7 @@ def _edge_contraction(mesh, neumann, c_full, free_mask, grad_x, grad_y):
     stride = xs.size
 
     idx = np.arange(ys.size - 1) * stride + (stride - 1)
-    dIl_dl, dIl_dr, dIr_dl, dIr_dr = ld.line_hat_load_derivs(
+    _, (dIl_dl, dIl_dr, dIr_dl, dIr_dr) = ld.line_hat_load_derivs(
         g_right, g_right_p, ys[:-1], ys[1:], rule)
     cl = np.where(free_mask[idx], c_full[idx], 0.0)
     cr = np.where(free_mask[idx + stride], c_full[idx + stride], 0.0)
@@ -397,7 +434,7 @@ def _edge_contraction(mesh, neumann, c_full, free_mask, grad_x, grad_y):
     np.add.at(grad_y, np.arange(ys.size - 1) + 1, -(cl * dIl_dr + cr * dIr_dr))
 
     idx = (ys.size - 1) * stride + np.arange(xs.size - 1)
-    dIl_dl, dIl_dr, dIr_dl, dIr_dr = ld.line_hat_load_derivs(
+    _, (dIl_dl, dIl_dr, dIr_dl, dIr_dr) = ld.line_hat_load_derivs(
         g_top, g_top_p, xs[:-1], xs[1:], rule)
     cl = np.where(free_mask[idx], c_full[idx], 0.0)
     cr = np.where(free_mask[idx + 1], c_full[idx + 1], 0.0)

@@ -172,12 +172,12 @@ def cmd_report(cfg, out, seed):
     if checkpoint is None:
         raise ConfigurationError("report needs a 'checkpoint' path in the config")
     params, state, epoch = training.load_checkpoint(checkpoint)
-    refs = training.uniform_reference_energies(problem.family, grid, problem.n_elements,
-                                               indices=grid.train_idx)
+    # the error report solves its own uniform meshes; no balancing
+    # references are needed
     run = training.ParametricRun(
         params=params, state=state, history=training.History(columns=()),
         grid=grid, family=problem.family, n_elements=problem.n_elements,
-        uniform_refs=refs, epochs_done=epoch,
+        uniform_refs={}, epochs_done=epoch,
     )
     reports = experiments.parametric_error_report(run)
     experiments.write_report(reports, out)

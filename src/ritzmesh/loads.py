@@ -288,25 +288,29 @@ def hat_load_derivs_exact(load: LoadSpec, xl, xr):
 # ---------------------------------------------------------------------------
 # quadrature elementwise integrals (1D and line integrals)
 
+def _hat_sums(wts, fv, lam):
+    """(falling, rising) hat loads from weighted integrand values."""
+    return np.sum(wts * fv * (1.0 - lam), axis=-1), np.sum(wts * fv * lam, axis=-1)
+
+
 def line_hat_loads(fun, xl, xr, rule: QuadratureRule):
     """Quadrature loads of the falling/rising hats for a callable integrand."""
-    xl = np.asarray(xl, dtype=float)
-    xr = np.asarray(xr, dtype=float)
     pts, wts = rule.mapped(xl, xr)
-    lam = 0.5 * (rule.points + 1.0)
-    fv = fun(pts)
-    I_r = np.sum(wts * fv * lam, axis=-1)
-    I_l = np.sum(wts * fv * (1.0 - lam), axis=-1)
-    return I_l, I_r
+    return _hat_sums(wts, fun(pts), 0.5 * (rule.points + 1.0))
 
 
 def line_hat_load_derivs(fun, fun_prime, xl, xr, rule: QuadratureRule):
     """Endpoint derivatives of the quadrature hat loads (exact derivatives
-    of the quadrature approximation, not of the underlying integral)."""
+    of the quadrature approximation, not of the underlying integral).
+
+    Returns ((I_l, I_r), (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr)): the
+    loads of line_hat_loads, bitwise, from the same integrand
+    evaluation, and their derivatives.
+    """
     xl = np.asarray(xl, dtype=float)
     xr = np.asarray(xr, dtype=float)
     half = 0.5 * (xr - xl)
-    pts, _ = rule.mapped(xl, xr)
+    pts, wts = rule.mapped(xl, xr)
     lam = 0.5 * (rule.points + 1.0)      # rising hat at reference points
     dx_dxl = 1.0 - lam                   # d(mapped point)/d(xl)
     dx_dxr = lam
@@ -323,7 +327,7 @@ def line_hat_load_derivs(fun, fun_prime, xl, xr, rule: QuadratureRule):
 
     dIl_dxl, dIl_dxr = contr(1.0 - lam)
     dIr_dxl, dIr_dxr = contr(lam)
-    return dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr
+    return _hat_sums(wts, fv, lam), (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr)
 
 
 def hat_loads(load: LoadSpec, xl, xr):
@@ -340,7 +344,7 @@ def hat_load_derivs(load: LoadSpec, xl, xr):
         lambda x: forcing_value(load, x),
         lambda x: forcing_derivative(load, x),
         xl, xr, load.rule(),
-    )
+    )[1]
 
 
 def load_element_quadrature(load: LoadSpec, x_left, x_right, rule: QuadratureRule | None = None):
@@ -393,9 +397,12 @@ def _axis_loads(fun, nodes, rule):
 
 
 def _axis_load_derivs(fun, fun_prime, nodes, rule):
-    """_axis_loads differentiated by each interval's left and right node."""
-    dl_dl, dl_dr, dr_dl, dr_dr = line_hat_load_derivs(fun, fun_prime, nodes[:-1], nodes[1:], rule)
-    return np.stack([dl_dl, dr_dl], axis=1), np.stack([dl_dr, dr_dr], axis=1)
+    """_axis_loads, and the same differentiated by each interval's left
+    and right node, from one evaluation of the factor."""
+    values, (dl_dl, dl_dr, dr_dl, dr_dr) = line_hat_load_derivs(
+        fun, fun_prime, nodes[:-1], nodes[1:], rule)
+    return (np.stack(values, axis=1),
+            np.stack([dl_dl, dr_dl], axis=1), np.stack([dl_dr, dr_dr], axis=1))
 
 
 def area_loads(load: LoadSpec, xs, ys):
@@ -434,9 +441,8 @@ def area_load_derivs(load: LoadSpec, xs, ys):
     rule = load.rule()
     d_dxl = d_dxr = d_dyb = d_dyt = 0.0
     for (fx, fxp), (fy, fyp) in _separable_terms(load):
-        ax, ay = _axis_loads(fx, xs, rule), _axis_loads(fy, ys, rule)
-        dax_l, dax_r = _axis_load_derivs(fx, fxp, xs, rule)
-        day_b, day_t = _axis_load_derivs(fy, fyp, ys, rule)
+        ax, dax_l, dax_r = _axis_load_derivs(fx, fxp, xs, rule)
+        ay, day_b, day_t = _axis_load_derivs(fy, fyp, ys, rule)
         d_dxl = d_dxl + _tensor(dax_l, ay)
         d_dxr = d_dxr + _tensor(dax_r, ay)
         d_dyb = d_dyb + _tensor(ax, day_b)

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ritzmesh.assembly import (
+    _AX,
+    _AY,
+    DofLabeling,
     MaterialField,
+    _element_tables_2d,
+    _scatter_pattern,
     assemble_system,
     assembly_gradient_contraction,
     element_stiffness_1d,
@@ -15,7 +21,14 @@ from ritzmesh.energy import ritz_energy
 from ritzmesh.errors import ConfigurationError
 from ritzmesh.mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d
 from ritzmesh.pipeline import evaluate, evaluate_uniform
-from ritzmesh.problems import arctan1d, constant1d, lshape, power1d, twomaterial1d
+from ritzmesh.problems import (
+    arctan1d,
+    arctan2d,
+    constant1d,
+    lshape,
+    power1d,
+    twomaterial1d,
+)
 from ritzmesh.solver import solve_spd
 
 
@@ -122,6 +135,11 @@ class TestLabeling:
             mesh = TensorMesh2D(mesh_x=axis, mesh_y=axis)
             lab = label_dirichlet(mesh, "lshape")
             assert lab.n_free == 3 * n * n // 4 - 2 * n + 1
+
+    def test_nonzero_dirichlet_values_rejected(self):
+        with pytest.raises(ValueError, match="nonzero Dirichlet"):
+            DofLabeling(free=np.array([1, 2]), dirichlet=np.array([0]),
+                        values=np.array([0.5]), n_nodes=3)
 
     def test_relabeling_tracks_moving_nodes(self):
         lab0 = label_dirichlet(Mesh1D.from_nodes([0.0, 0.4, 1.0]), "both")
@@ -259,3 +277,88 @@ class TestGradientContraction:
             ev.mesh, ev.labeling, p.material, p.load, ev.c, neumann=p.neumann)
         interior = grad[1:-1]
         np.testing.assert_allclose(interior, -interior[::-1], atol=1e-10)
+
+
+def _reference_stiffness(mesh, labeling, material):
+    """Full COO -> CSR stiffness restricted by fancy indexing: the
+    assembly that the cached scatter pattern replaced."""
+    if isinstance(mesh, Mesh1D):
+        x = mesh.nodes
+        mid = 0.5 * (x[:-1] + x[1:])
+        k = material.value_at_1d(mid) / mesh.lengths
+        e = np.arange(mesh.n_elements)
+        rows = np.concatenate([e, e, e + 1, e + 1])
+        cols = np.concatenate([e, e + 1, e, e + 1])
+        data = np.concatenate([k, -k, -k, k])
+    else:
+        _, _, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
+        hx, hy = xr - xl, yt - yb
+        coeff = material.value_at_2d(0.5 * (xl + xr), 0.5 * (yb + yt))
+        K = (coeff * (hy / hx))[:, None, None] * _AX + (coeff * (hx / hy))[:, None, None] * _AY
+        rows = np.repeat(conn, 4, axis=1).ravel()
+        cols = np.tile(conn, (1, 4)).ravel()
+        data = K.ravel()
+    n = labeling.n_nodes
+    B_full = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    B = B_full[labeling.free][:, labeling.free].tocsr()
+    B.sort_indices()
+    return B
+
+
+def _assert_matches_reference(ev, material):
+    ref = _reference_stiffness(ev.mesh, ev.labeling, material)
+    B = ev.system.B
+    np.testing.assert_array_equal(B.indptr, ref.indptr)
+    np.testing.assert_array_equal(B.indices, ref.indices)
+    assert np.max(np.abs(B.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+
+
+class TestScatterPattern:
+    @pytest.mark.parametrize("make", [
+        lambda n: lshape(1.7, 0.4, n_elements=n),
+        lambda n: arctan2d(10.0, 0.3, 0.6, n_elements=n, order=4),
+    ])
+    @pytest.mark.parametrize("n", [6, 16])
+    def test_2d_matches_reference(self, make, n):
+        problem = make(n)
+        rng = np.random.default_rng(n)
+        ev = evaluate(problem, rng.normal(0, 0.3, problem.theta_size))
+        _assert_matches_reference(ev, problem.material)
+
+    @pytest.mark.parametrize("make", [
+        lambda: arctan1d(10.0, 0.5, n_elements=16),
+        lambda: power1d(0.7, n_elements=16),
+        lambda: twomaterial1d(10.0, n_elements=16),
+    ])
+    def test_1d_is_bitwise_reference(self, make):
+        problem = make()
+        rng = np.random.default_rng(31)
+        ev = evaluate(problem, rng.normal(0, 0.3, problem.theta_size))
+        ref = _reference_stiffness(ev.mesh, ev.labeling, problem.material)
+        B = ev.system.B
+        np.testing.assert_array_equal(B.data, ref.data)
+        np.testing.assert_array_equal(B.indices, ref.indices)
+        np.testing.assert_array_equal(B.indptr, ref.indptr)
+
+    def test_free_sets_kept_apart(self):
+        # one mesh, two labelings: each must get its own cached pattern
+        problem = arctan2d(10.0, 0.3, 0.6, n_elements=6, order=4)
+        mesh = problem.uniform_mesh()
+        systems = []
+        for spec in ("all", "left-bottom"):
+            labeling = label_dirichlet(mesh, spec)
+            system = assemble_system(mesh, labeling, problem.material, problem.load)
+            ref = _reference_stiffness(mesh, labeling, problem.material)
+            assert abs(system.B - ref).max() <= 1e-14 * abs(ref).max()
+            systems.append(system)
+        assert systems[0].B.shape != systems[1].B.shape
+
+    def test_cached_arrays_read_only(self):
+        ev = evaluate_uniform(lshape(n_elements=8))
+        free = np.asarray(ev.labeling.free, dtype=np.int64)
+        pattern = _scatter_pattern((8, 8), free.tobytes())
+        for arr in pattern:
+            assert arr.dtype == np.int32 and not arr.flags.writeable
+        assert np.shares_memory(ev.system.B.indices, pattern[1])
+        with pytest.raises(ValueError):
+            ev.system.B.indices[0] = 1

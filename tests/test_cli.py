@@ -81,6 +81,34 @@ class TestTrainAndReport:
         assert lines[1].startswith("train,") and lines[2].startswith("test,")
 
 
+    def test_report_needs_no_uniform_references(self, tmp_path, capsys, monkeypatch):
+        from ritzmesh import training
+        cfg = write_config(tmp_path, "train.json", {
+            "problem": "arctan1d", "N": 8,
+            "grid": {"counts": [5, 5]},
+            "epochs": 1, "batch": 5, "schedule": [[0, 1e-2]],
+        })
+        run = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(run)]) == EXIT_OK
+        report_cfg = write_config(tmp_path, "report.json", {
+            "problem": "arctan1d", "N": 8,
+            "grid": {"counts": [5, 5]},
+            "checkpoint": str(run / "checkpoint.npz"),
+        })
+        capsys.readouterr()
+        assert main(["report", "--config", report_cfg, "--out", str(tmp_path / "a")]) == EXIT_OK
+        printed = capsys.readouterr().out
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("report computed uniform reference energies")
+
+        monkeypatch.setattr(training, "uniform_reference_energies", forbidden)
+        assert main(["report", "--config", report_cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert capsys.readouterr().out == printed
+        assert ((tmp_path / "a" / "error_report.csv").read_bytes()
+                == (tmp_path / "b" / "error_report.csv").read_bytes())
+
+
 class TestConvergenceAndLandscape:
     def test_convergence_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "conv.json", {

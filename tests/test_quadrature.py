@@ -17,6 +17,7 @@ from ritzmesh.loads import (
     hat_load_derivs,
     hat_loads,
     hat_loads_exact,
+    line_hat_load_derivs,
     line_hat_loads,
     load_element_exact,
     load_element_quadrature,
@@ -286,6 +287,30 @@ class TestSeparableAreaLoads:
                 want = (np.where((e_of == j)[:, None], d_lo, 0.0)
                         + np.where((e_of + 1 == j)[:, None], d_hi, 0.0))
                 np.testing.assert_allclose(fd, want, rtol=2e-6, atol=1e-8)
+
+
+    def test_derivs_form_values_from_one_evaluation(self, monkeypatch):
+        # line_hat_load_derivs returns the loads of line_hat_loads bitwise,
+        # so area_load_derivs needs no separate value pass
+        from functools import partial
+
+        import ritzmesh.loads as ld
+        rng = np.random.default_rng(23)
+        nodes = np.sort(rng.uniform(0.0, 1.0, size=9))
+        rule = gauss_legendre(50)
+        fun, fun_prime = partial(ld._arctan_f, 12.0, 0.4), partial(ld._arctan_fp, 12.0, 0.4)
+        values, _ = line_hat_load_derivs(fun, fun_prime, nodes[:-1], nodes[1:], rule)
+        for got, want in zip(values, line_hat_loads(fun, nodes[:-1], nodes[1:], rule)):
+            np.testing.assert_array_equal(got, want)
+
+        load = LoadSpec("arctan2d", {"alpha": 12.0, "s1": 0.4, "s2": 0.65},
+                        mode="quadrature", order=50)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("area_load_derivs called line_hat_loads")
+
+        monkeypatch.setattr(ld, "line_hat_loads", forbidden)
+        area_load_derivs(load, nodes, nodes[:6])
 
 
 class TestLoadDerivatives:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ritzmesh.assembly import DofLabeling, SparseSystem
 from ritzmesh.errors import SolverError
-from ritzmesh.pipeline import evaluate_uniform
+from ritzmesh.pipeline import evaluate, evaluate_uniform
 from ritzmesh.problems import arctan1d, arctan2d, lshape, power1d, twomaterial1d
 from ritzmesh.solver import RESIDUAL_TOL, solve_spd
 
@@ -36,10 +37,11 @@ class TestSolveSpd:
         A = M.T @ M + np.eye(50)
         b = rng.normal(size=50)
         expected = np.linalg.solve(A, b)
-        for method in ("direct-cholesky", "cg"):
+        for method, ran in (("direct-cholesky", "banded-cholesky"), ("cg", "cg")):
             rep = solve_spd(_system(A, b), method=method)
             rel = np.linalg.norm(rep.c - expected) / np.linalg.norm(expected)
             assert rel < 1e-10, method
+            assert rep.method == ran
 
     def test_residual_contract(self):
         rng = np.random.default_rng(10)
@@ -121,3 +123,68 @@ class TestBenchmarkSystems:
                 c = ev.c.copy()
                 c[i] += sign * 1e-3
                 assert ritz_energy(ev.system, c) > J0
+
+
+def _splu_reference(system):
+    """The general sparse LU that banded Cholesky replaced for 2D systems."""
+    return spla.splu(system.B.tocsc()).solve(system.ell)
+
+
+class TestSolvePaths:
+    @pytest.mark.parametrize("make", [
+        lambda n: lshape(1.7, 0.4, n_elements=n),
+        lambda n: arctan2d(10.0, 0.3, 0.6, n_elements=n, order=10),
+    ])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_banded_matches_splu_2d(self, make, n):
+        problem = make(n)
+        rng = np.random.default_rng(n)
+        system = evaluate(problem, rng.normal(0, 0.3, problem.theta_size)).system
+        rep = solve_spd(system)
+        assert rep.method == "banded-cholesky"
+        ref = _splu_reference(system)
+        assert np.linalg.norm(rep.c - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert rep.residual_norm <= RESIDUAL_TOL * np.linalg.norm(system.ell)
+
+    def test_indefinite_pentadiagonal_raises(self, monkeypatch):
+        # symmetric and nonsingular, so LU would solve it; Cholesky must not
+        n = 12
+        main = np.full(n, 4.0)
+        main[5] = -4.0
+        B = sp.diags([np.ones(n - 2), -np.ones(n - 1), main, -np.ones(n - 1),
+                      np.ones(n - 2)], [-2, -1, 0, 1, 2], format="csr")
+        assert np.isfinite(np.linalg.cond(B.toarray()))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pentadiagonal system went to splu")
+
+        monkeypatch.setattr(spla, "splu", forbidden)
+        with pytest.raises(SolverError, match="banded Cholesky"):
+            solve_spd(_system(B, np.ones(n)))
+
+    def test_wide_band_takes_splu(self):
+        # arrow pattern: dense first row and column, bandwidth n - 1
+        n = 200
+        A = sp.lil_matrix((n, n))
+        A.setdiag(float(n))
+        A[0, 1:] = 1.0
+        A[1:, 0] = 1.0
+        b = np.linspace(1.0, 2.0, n)
+        rep = solve_spd(_system(A.tocsr(), b))
+        assert rep.method == "splu"
+        np.testing.assert_allclose(rep.c, np.linalg.solve(A.toarray(), b), rtol=1e-12)
+
+    @pytest.mark.parametrize("make", BENCH_1D)
+    def test_1d_is_bitwise_splu(self, make):
+        # the recorded parametric arctan1d errors depend on this arithmetic
+        problem = make(64)
+        rng = np.random.default_rng(5)
+        system = evaluate(problem, rng.normal(0, 0.3, problem.theta_size)).system
+        rep = solve_spd(system)
+        assert rep.method == "splu"
+        np.testing.assert_array_equal(rep.c, _splu_reference(system))
+
+    def test_zero_load_reports_selected_path(self):
+        rep = solve_spd(_system(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(9, 9)),
+                                np.zeros(9)))
+        assert rep.method == "splu" and rep.iterations == 0
