@@ -21,7 +21,7 @@ iterations = 4000 if quick else 20000
 schedule = [(0, 1e-2), (4000, 1e-3), (14000, 1e-4)]
 
 rows, rate_uniform, rate_adaptive = run_convergence(
-    power1d(sigma=0.7), n_list, iterations=iterations, schedule=schedule, seed=0)
+    power1d(sigma=0.7), n_list, iterations=iterations, schedule=schedule)
 
 print(f"{'N':>5s} {'e_h (uniform)':>14s} {'e_theta (adapted)':>18s}")
 for n, e_h, e_t in rows:

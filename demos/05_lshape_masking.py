@@ -31,8 +31,7 @@ for n in (8, 16, 32):
     print(f"{n:4d} {ev.J:14.9f} {relative_error(ev.J, j_ref):9.5f} "
           f"{ev.labeling.n_free:10d}")
 
-theta, history = train_nonparametric(problem, schedule=[(0, 1e-2)],
-                                     iterations=10000, seed=0)
+theta, history = train_nonparametric(problem, schedule=[(0, 1e-2)], iterations=10000)
 e_adapted = history.column("e_theta")[-1]
 print(f"\nadapted N=32 after 10000 iterations: e_theta = {e_adapted:.5f}")
 

@@ -27,10 +27,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ritzmesh.experiments import write_csv          # noqa: E402
 from ritzmesh.pipeline import evaluate_uniform      # noqa: E402
 from ritzmesh.problems import lshape                # noqa: E402
 from ritzmesh.sampling import default_axes          # noqa: E402
+from ritzmesh.training import write_csv             # noqa: E402
 
 LEVELS = (32, 64, 128)
 REFERENCE_UNIT_SIGMA = -0.00668986

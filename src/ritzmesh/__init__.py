@@ -6,59 +6,14 @@ and solved there, and the energy's reduced gradient (which needs no
 derivative of the linear solve) drives the node positions.  A small
 network can map PDE parameters to logits, giving parameter-dependent
 adapted meshes solved by a standard FEM for each instance.
-"""
 
-from .assembly import (
-    DofLabeling,
-    MaterialField,
-    NeumannSpec,
-    SparseSystem,
-    assemble_system,
-    assembly_gradient_contraction,
-    element_stiffness_1d,
-    element_stiffness_quad,
-    label_dirichlet,
-)
-from .energy import balanced_ritz, relative_error, ritz_energy, ritz_gradient
-from .errors import (
-    ConfigurationError,
-    DegenerateMeshError,
-    InconsistentReferenceError,
-    SolverError,
-)
-from .loads import LoadSpec, exact_energy, load_element_exact, reference_ritz
-from .mesh import (
-    Mesh1D,
-    MeshParams1D,
-    TensorMesh2D,
-    build_mesh_1d,
-    build_tensor_mesh_2d,
-    mesh_pullback,
-    softmax_partition,
-)
-from .network import MlpParams, lecun_init, mlp_backward, mlp_forward
-from .optim import AdamState, NesterovState, adam_step, nesterov_step
-from .pipeline import evaluate, evaluate_uniform, evaluate_with_gradient
-from .problems import ProblemSpec, make_problem, registry
-from .quadrature import QuadratureRule, gauss_legendre
-from .sampling import Axis, ParamGrid, sample_axis, split_train_test
-from .solver import SolveReport, solve_spd
-from .training import train_nonparametric, train_parametric
+Callers import the submodules, e.g. ``from ritzmesh import pipeline``.
+"""
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis", "AdamState", "ConfigurationError", "DegenerateMeshError",
-    "DofLabeling", "InconsistentReferenceError", "LoadSpec", "MaterialField",
-    "Mesh1D", "MeshParams1D", "MlpParams", "NesterovState", "NeumannSpec",
-    "ParamGrid", "ProblemSpec", "QuadratureRule", "SolveReport", "SolverError",
-    "SparseSystem", "TensorMesh2D", "adam_step", "assemble_system",
-    "assembly_gradient_contraction", "balanced_ritz", "build_mesh_1d",
-    "build_tensor_mesh_2d", "element_stiffness_1d", "element_stiffness_quad",
-    "evaluate", "evaluate_uniform", "evaluate_with_gradient", "exact_energy",
-    "gauss_legendre", "label_dirichlet", "lecun_init", "load_element_exact",
-    "make_problem", "mesh_pullback", "mlp_backward", "mlp_forward",
-    "nesterov_step", "reference_ritz", "registry", "relative_error",
-    "ritz_energy", "ritz_gradient", "sample_axis", "softmax_partition",
-    "solve_spd", "split_train_test", "train_nonparametric", "train_parametric",
+    "assembly", "cli", "energy", "errors", "experiments", "loads", "mesh",
+    "network", "optim", "pipeline", "problems", "quadrature", "sampling",
+    "solver", "training",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import loads as ld
-from .errors import ConfigurationError, DegenerateMeshError
+from .errors import ConfigurationError
 from .mesh import Mesh1D, TensorMesh2D
 
 COORD_TOL = 1e-12
@@ -36,28 +36,27 @@ _AY = np.array([[2, 1, -1, -2], [1, 2, -2, -1], [-1, -2, 2, 1], [-2, -1, 1, 2]])
 
 @dataclass(frozen=True)
 class DofLabeling:
-    """Partition of node indices into free DOFs and Dirichlet nodes."""
+    """Partition of node indices into free DOFs and Dirichlet nodes.
+
+    Dirichlet data are zero: the assembled load has no lifting term.
+    """
 
     free: np.ndarray
     dirichlet: np.ndarray
-    values: np.ndarray
     n_nodes: int
 
     def __post_init__(self):
         if self.free.size + self.dirichlet.size != self.n_nodes:
             raise ValueError("free and dirichlet sets must partition the nodes")
-        if np.any(self.values != 0.0):
-            raise ValueError("nonzero Dirichlet values are not supported; "
-                             "the assembled load has no lifting term")
 
     @property
     def n_free(self):
         return self.free.size
 
     def full_vector(self, c_free):
-        """Insert free coefficients into a vector over all nodes."""
+        """Insert free coefficients into a vector over all nodes; Dirichlet
+        data are zero."""
         full = np.zeros(self.n_nodes)
-        full[self.dirichlet] = self.values
         full[self.free] = c_free
         return full
 
@@ -123,22 +122,6 @@ class SparseSystem:
     labeling: DofLabeling
 
 
-def element_stiffness_1d(x_left, x_right, coeff):
-    """(coeff/h) [[1, -1], [-1, 1]]; exact, the integrand is constant."""
-    h = x_right - x_left
-    if h <= 0:
-        raise DegenerateMeshError(f"element [{x_left}, {x_right}] has nonpositive length")
-    k = coeff / h
-    return np.array([[k, -k], [-k, k]])
-
-
-def element_stiffness_quad(hx, hy, coeff):
-    """Exact bilinear-quad Laplace stiffness on an hx-by-hy rectangle."""
-    if hx <= 0 or hy <= 0:
-        raise DegenerateMeshError(f"element of size {hx} x {hy} is degenerate")
-    return coeff * ((hy / hx) * _AX + (hx / hy) * _AY)
-
-
 def node_coordinates_2d(mesh: TensorMesh2D):
     """Grid coordinates flattened with x fastest: index = iy*(Nx+1) + ix."""
     X, Y = np.meshgrid(mesh.mesh_x.nodes, mesh.mesh_y.nodes, indexing="xy")
@@ -181,8 +164,7 @@ def label_dirichlet(mesh, spec: str) -> DofLabeling:
     idx = np.arange(mask.size)
     dirichlet = idx[mask]
     free = idx[~mask]
-    return DofLabeling(free=free, dirichlet=dirichlet,
-                       values=np.zeros(dirichlet.size), n_nodes=mask.size)
+    return DofLabeling(free=free, dirichlet=dirichlet, n_nodes=mask.size)
 
 
 def _check_material_resolved(mesh, material: MaterialField):
@@ -267,7 +249,7 @@ def _element_loads(mesh, load):
         conn = np.stack([e, e + 1], axis=1)
         vals = np.stack([I_l, I_r], axis=1)
         return conn, vals
-    conn = _element_tables_2d(mesh)[2]
+    conn = _connectivity_2d(mesh.mesh_x.n_elements, mesh.mesh_y.n_elements)
     vals = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
     return conn, vals
 

@@ -73,6 +73,19 @@ def apply_preset(cfg, preset):
     return merged
 
 
+def _value(name, value, kind=int, lo=None, hi=None):
+    """A config value converted by `kind` and checked against [lo, hi]."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {name}: {value!r} is not {kind.__name__}") from exc
+    if lo is not None and not out >= lo:
+        raise ConfigurationError(f"bad {name}: {value!r} is below {lo}")
+    if hi is not None and not out <= hi:
+        raise ConfigurationError(f"bad {name}: {value!r} is above {hi}")
+    return out
+
+
 def _schedule(cfg, default=((0, 1e-2),)):
     try:
         pairs = [(float(e), float(lr)) for e, lr in cfg.get("schedule", list(default))]
@@ -98,8 +111,7 @@ def cmd_adapt(cfg, out, seed):
     theta, history = training.train_nonparametric(
         problem,
         schedule=_schedule(cfg),
-        iterations=int(cfg.get("iterations", 1000)),
-        seed=seed,
+        iterations=_value("iterations", cfg.get("iterations", 1000), lo=0),
     )
     history.write_csv(os.path.join(out, "history.csv"))
     mesh = problem.build_mesh(theta)
@@ -119,10 +131,10 @@ def cmd_train(cfg, out, seed):
     run = training.train_parametric(
         problem.family, grid, problem.n_elements,
         schedule=_schedule(cfg),
-        epochs=int(cfg.get("epochs", 50)),
-        batch=int(cfg.get("batch", 10)),
+        epochs=_value("epochs", cfg.get("epochs", 50), lo=0),
+        batch=_value("batch", cfg.get("batch", 10), lo=1),
         seed=seed,
-        monitor_every=int(cfg.get("monitor_every", 10)),
+        monitor_every=_value("monitor_every", cfg.get("monitor_every", 10), lo=1),
         checkpoint_path=os.path.join(out, "checkpoint.npz"),
     )
     run.history.write_csv(os.path.join(out, "history.csv"))
@@ -133,11 +145,14 @@ def cmd_train(cfg, out, seed):
 def cmd_convergence(cfg, out, seed):
     problem = build_problem(cfg)
     n_list = cfg.get("N_list", [32, 64, 128, 256])
+    if not isinstance(n_list, list):
+        raise ConfigurationError(f"bad N_list: {n_list!r} is not a list")
+    n_list = [_value("N_list entry", n, lo=1) for n in n_list]
     rows, r_u, r_a = experiments.run_convergence(
         problem, n_list,
-        iterations=int(cfg.get("iterations", 1000)),
+        iterations=_value("iterations", cfg.get("iterations", 1000), lo=0),
         schedule=_schedule(cfg),
-        seed=seed, out=out,
+        out=out,
     )
     for n, e_h, e_t in rows:
         print(f"N={n:4d}  e_h={e_h:.6g}  e_theta={e_t:.6g}")
@@ -146,16 +161,21 @@ def cmd_convergence(cfg, out, seed):
 
 def cmd_landscape(cfg, out, seed):
     sweep = cfg.get("sweep", {})
-    lo = float(sweep.get("lo", -0.05))
-    hi = float(sweep.get("hi", 0.05))
-    count = int(sweep.get("count", 200))
+    quad_orders = cfg.get("quad_orders", [2])
+    if not isinstance(sweep, dict) or not isinstance(quad_orders, list) or not quad_orders:
+        raise ConfigurationError("sweep must be an object and quad_orders a non-empty list")
+    lo = _value("sweep.lo", sweep.get("lo", -0.05), float)
+    hi = _value("sweep.hi", sweep.get("hi", 0.05), float)
+    count = _value("sweep.count", sweep.get("count", 200), lo=1)
+    n_elements = _value("N", cfg.get("N", 10), lo=2)
     rows, columns, j_true = experiments.run_landscape(
-        alpha=float(cfg.get("alpha", 50.0)),
-        s=float(cfg.get("s", 0.5)),
-        n_elements=int(cfg.get("N", 10)),
-        movable_index=int(cfg.get("movable_index", 5)),
+        alpha=_value("alpha", cfg.get("alpha", 50.0), float),
+        s=_value("s", cfg.get("s", 0.5), float),
+        n_elements=n_elements,
+        movable_index=_value("movable_index", cfg.get("movable_index", 5),
+                             lo=1, hi=n_elements - 1),
         offsets=np.linspace(lo, hi, count),
-        quad_orders=tuple(cfg.get("quad_orders", [2])),
+        quad_orders=tuple(quad_orders),
         out=out,
     )
     exact_min = min(r[1] for r in rows)

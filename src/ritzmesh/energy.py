@@ -3,8 +3,8 @@
 The energy is evaluated as E = 1/2 (B c) . c - ell . c.  This exact
 form matters: its partial derivative in c vanishes at the discrete
 solution, which is what lets the mesh gradient skip differentiating the
-linear solve.  The algebraically equal forms -1/2 ell . c and
--1/2 (B c) . c are exposed for diagnostics only.
+linear solve.  The shorter form -1/2 ell . c equals it only at the
+solution, so it is not offered.
 """
 
 from dataclasses import dataclass, field
@@ -25,11 +25,6 @@ def ritz_energy(system, c):
     """1/2 (B c) . c - ell . c, one SpMV and two dot products."""
     Bc = system.B @ c
     return 0.5 * (Bc @ c) - system.ell @ c
-
-
-def ritz_energy_via_load(system, c):
-    """Diagnostic form -1/2 ell . c; equals ritz_energy only at the solution."""
-    return -0.5 * (system.ell @ c)
 
 
 def balanced_ritz(J, J_uniform_ref):
@@ -67,8 +62,8 @@ class ErrorReport:
     adaptive: dict = field(default_factory=dict)
     uniform: dict = field(default_factory=dict)
 
-    def aggregate(self, keys=None):
-        keys = list(self.adaptive if keys is None else keys)
+    def aggregate(self):
+        keys = list(self.adaptive)
         ad = np.array([self.adaptive[k] for k in keys])
         un = np.array([self.uniform[k] for k in keys])
         return {

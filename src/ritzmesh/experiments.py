@@ -3,7 +3,6 @@ sweep, and error reports for parametric runs.  Everything lands in
 plot-ready CSVs; no figures are rendered here.
 """
 
-import csv
 import os
 
 import numpy as np
@@ -13,7 +12,7 @@ from .energy import ErrorReport, relative_error
 from .mesh import Mesh1D
 from .pipeline import evaluate_mesh, evaluate_uniform
 from .problems import ProblemSpec, arctan1d
-from .training import FLOAT_FMT, ParametricRun, train_nonparametric
+from .training import ParametricRun, train_nonparametric, write_csv
 
 #: named learning-rate schedules for the benchmark experiments
 PRESETS = {
@@ -34,24 +33,6 @@ PRESETS = {
 }
 
 
-def write_csv(path, columns, rows):
-    """Fixed column order, 17 significant digits for floats."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
-
-
-def _format_cell(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return FLOAT_FMT % value
-    return str(value)
-
-
 def fit_rate(n_values, errors):
     """Least-squares slope of log(error) against log(N)."""
     n_values = np.asarray(n_values, dtype=float)
@@ -63,7 +44,7 @@ def fit_rate(n_values, errors):
 
 
 def run_convergence(problem: ProblemSpec, n_list, iterations, schedule=((0, 1e-2),),
-                    seed=0, out=None):
+                    out=None):
     """Uniform vs adapted errors over a sweep of mesh sizes.
 
     Returns (rows, rate_uniform, rate_adaptive) with rows of
@@ -74,8 +55,7 @@ def run_convergence(problem: ProblemSpec, n_list, iterations, schedule=((0, 1e-2
     for n in n_list:
         pn = problem.with_n(n)
         e_h = relative_error(evaluate_uniform(pn).J, j_exact)
-        theta, history = train_nonparametric(pn, schedule=schedule,
-                                             iterations=iterations, seed=seed)
+        theta, history = train_nonparametric(pn, schedule=schedule, iterations=iterations)
         e_theta = history.column("e_theta")[-1]
         rows.append((int(n), float(e_h), float(e_theta)))
     rate_uniform = fit_rate([r[0] for r in rows], [r[1] for r in rows])
@@ -125,7 +105,7 @@ def run_landscape(alpha=50.0, s=0.5, n_elements=10, movable_index=5,
     return rows, columns, ld.reference_ritz(exact_problem)
 
 
-def parametric_error_report(run: ParametricRun, method="auto") -> dict:
+def parametric_error_report(run: ParametricRun) -> dict:
     """Mean/max relative errors over the train and test tuples.
 
     Compares the network-adapted meshes against equispaced meshes of
@@ -139,7 +119,7 @@ def parametric_error_report(run: ParametricRun, method="auto") -> dict:
             sig = tuple(sigma)
             problem = run.problem_for(sig)
             j_exact = ld.reference_ritz(problem)
-            ev = evaluate_mesh(problem, run.mesh_for(sig), method=method)
+            ev = evaluate_mesh(problem, run.mesh_for(sig))
             report.adaptive[sig] = relative_error(ev.J, j_exact)
             report.uniform[sig] = relative_error(evaluate_uniform(problem).J, j_exact)
         out[label] = report
@@ -162,10 +142,10 @@ def write_report(reports: dict, out):
     write_csv(os.path.join(out, "error_report.csv"), REPORT_COLUMNS, report_rows(reports))
 
 
-def solve_summary(problem: ProblemSpec, method="auto"):
+def solve_summary(problem: ProblemSpec):
     """One uniform-mesh solve; returns (J, e_h or None, evaluation)."""
     from .errors import ConfigurationError
-    ev = evaluate_uniform(problem, method=method)
+    ev = evaluate_uniform(problem)
     try:
         e_h = relative_error(ev.J, ld.reference_ritz(problem))
     except ConfigurationError:

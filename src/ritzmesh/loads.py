@@ -1,8 +1,11 @@
 """Forcing families: elementwise load integrals, exactly or by quadrature.
 
-Each 1D family registers an antiderivative pair F(x) = int f dx and
-G(x) = int x f dx, so the load of an affine shape function over an
-element is exact to roundoff:
+FAMILIES maps each family name to one Forcing record holding the
+family's functions of x: the value f, its derivative f', and the
+antiderivative pair F(x) = int f dx and G(x) = int x f dx, or for a 2D
+family its separable terms.  A LoadSpec binds its parameters to them
+with LoadSpec.bind.  With F and G the load of an affine shape function
+over an element is exact to roundoff:
 
     int_{xl}^{xr} f(x) (a0 + a1 x) dx = a0 (F(xr) - F(xl)) + a1 (G(xr) - G(xl)).
 
@@ -13,16 +16,17 @@ affinely and therefore has closed endpoint derivatives as well.  A 2D
 forcing is declared as a sum of products of 1D factors, so its tensor
 rule over bilinear hats factors into 1D hat loads on each axis.
 
-Families:
+Families (a record field is None where the family does not support it):
     constant       f = c                                 (exact)
     arctan1d       f = 2 a^3 (x-s) / (1 + a^2 (x-s)^2)^2 (exact)
-    power          f = sg (1-sg) x^(sg-2)                (exact only)
+    power          f = sg (1-sg) x^(sg-2)                (exact only; no f')
     sine_material  f = 4 pi^2 sin(2 pi x)                (exact)
-    arctan2d       separable sum of 1D products; per-axis quadrature
+    arctan2d       separable sum of 1D products; per-axis quadrature only
 """
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from importlib import resources
@@ -32,8 +36,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .quadrature import QuadratureRule, gauss_legendre
-
-FAMILIES = ("constant", "arctan1d", "power", "sine_material", "arctan2d")
 
 #: guard against requesting a divergent power-family integral at x = 0
 _SINGULAR_TOL = 1e-300
@@ -72,6 +74,15 @@ class LoadSpec:
 
     def rule(self) -> QuadratureRule:
         return gauss_legendre(self.order)
+
+    def bind(self, name):
+        """The family's function `name` ("f", "fp", "F", "G" or "terms")
+        with this load's parameters bound as leading arguments."""
+        forcing = FAMILIES[self.family]
+        fun = getattr(forcing, name)
+        if fun is None:
+            raise ConfigurationError(f"forcing family {self.family!r} has no {name!r}")
+        return partial(fun, *(self.params[k] for k in forcing.keys))
 
 
 # ---------------------------------------------------------------------------
@@ -149,66 +160,50 @@ def _sine_G(x):
     return -2.0 * np.pi * x * np.cos(2.0 * np.pi * x) + np.sin(2.0 * np.pi * x)
 
 
-def forcing_value(load: LoadSpec, x):
-    """Pointwise f(x) for the 1D families."""
-    p = load.params
-    if load.family == "constant":
-        return _constant_f(p["value"], np.asarray(x, dtype=float))
-    if load.family == "arctan1d":
-        return _arctan_f(p["alpha"], p["s"], np.asarray(x, dtype=float))
-    if load.family == "power":
-        return _power_f(p["sigma"], np.asarray(x, dtype=float))
-    if load.family == "sine_material":
-        return _sine_f(np.asarray(x, dtype=float))
-    raise ConfigurationError(f"{load.family} is not a 1D forcing")
+def _uj(alpha, s, t):
+    return np.arctan(alpha * (t - s)) + np.arctan(alpha * s)
 
 
-def forcing_derivative(load: LoadSpec, x):
-    if load.family == "constant":
-        return _constant_fp(load.params["value"], np.asarray(x, dtype=float))
-    if load.family == "arctan1d":
-        return _arctan_fp(load.params["alpha"], load.params["s"], np.asarray(x, dtype=float))
-    if load.family == "sine_material":
-        return _sine_fp(np.asarray(x, dtype=float))
-    raise ConfigurationError(f"no forcing derivative for family {load.family}")
+def _ujp(alpha, s, t):
+    return alpha / (1.0 + (alpha * (t - s)) ** 2)
 
 
-def _antiderivatives(load: LoadSpec):
-    p = load.params
-    if load.family == "constant":
-        return (lambda x: _constant_F(p["value"], x)), (lambda x: _constant_G(p["value"], x))
-    if load.family == "arctan1d":
-        return (lambda x: _arctan_F(p["alpha"], p["s"], x)), (lambda x: _arctan_G(p["alpha"], p["s"], x))
-    if load.family == "power":
-        return (lambda x: _power_F(p["sigma"], x)), (lambda x: _power_G(p["sigma"], x))
-    if load.family == "sine_material":
-        return _sine_F, _sine_G
-    raise ConfigurationError(f"family {load.family} has no exact routine")
+def _arctan2d_terms(alpha, s1, s2):
+    """f = f1(x) u2(y) + u1(x) f2(y) as ((f1, f1'), (u2, u2')) and
+    ((u1, u1'), (f2, f2')): each term pairs 1D (value, derivative)
+    callables of x with those of y."""
+    f1 = (partial(_arctan_f, alpha, s1), partial(_arctan_fp, alpha, s1))
+    f2 = (partial(_arctan_f, alpha, s2), partial(_arctan_fp, alpha, s2))
+    u1 = (partial(_uj, alpha, s1), partial(_ujp, alpha, s1))
+    u2 = (partial(_uj, alpha, s2), partial(_ujp, alpha, s2))
+    return ((f1, u2), (u1, f2))
+
+
+@dataclass(frozen=True)
+class Forcing:
+    """One forcing family.  Every function takes the values of the
+    parameters named in `keys`, in that order, then x; None marks what
+    the family does not support."""
+
+    keys: tuple
+    f: Callable | None
+    fp: Callable | None
+    F: Callable | None
+    G: Callable | None
+    terms: Callable | None = None    # 2D: separable ((fx, fx'), (fy, fy')) terms
+
+
+FAMILIES = {
+    "constant": Forcing(("value",), _constant_f, _constant_fp, _constant_F, _constant_G),
+    "arctan1d": Forcing(("alpha", "s"), _arctan_f, _arctan_fp, _arctan_F, _arctan_G),
+    "power": Forcing(("sigma",), _power_f, None, _power_F, _power_G),
+    "sine_material": Forcing((), _sine_f, _sine_fp, _sine_F, _sine_G),
+    "arctan2d": Forcing(("alpha", "s1", "s2"), None, None, None, None, terms=_arctan2d_terms),
+}
 
 
 # ---------------------------------------------------------------------------
 # exact elementwise integrals
-
-def load_element_exact(load: LoadSpec, x_left, x_right, a0, a1):
-    """Exact int_{x_left}^{x_right} f(x) (a0 + a1 x) dx for one element.
-
-    Raises if the requested integral diverges (power family with
-    sigma <= 1 against a shape function that does not vanish at 0).
-    """
-    if load.mode != "exact":
-        raise ConfigurationError("load_element_exact requires exact mode")
-    if load.family == "power" and x_left <= _SINGULAR_TOL:
-        sg = load.params["sigma"]
-        if sg <= 1.0 and abs(a0) > 0.0:
-            raise ValueError(
-                "divergent load integral: power forcing against a shape "
-                "function that does not vanish at the singularity"
-            )
-        # hat vanishing at 0: a0 = 0, so only the G term survives
-        return a1 * (_power_G(sg, x_right) - _power_G(sg, x_left))
-    F, G = _antiderivatives(load)
-    return a0 * (F(x_right) - F(x_left)) + a1 * (G(x_right) - G(x_left))
-
 
 def hat_loads_exact(load: LoadSpec, xl, xr):
     """Loads of the falling and rising hats on elements [xl, xr].
@@ -231,7 +226,7 @@ def hat_loads_exact(load: LoadSpec, xl, xr):
                            -np.inf if sg < 1.0 else _power_F(sg, 0.0))
         I_l = (xr * (F_r - F_l) - (G_r - G_l)) / h
         return I_l, I_r
-    F, G = _antiderivatives(load)
+    F, G = load.bind("F"), load.bind("G")
     dF = F(xr) - F(xl)
     dG = G(xr) - G(xl)
     I_l = (xr * dF - dG) / h
@@ -273,10 +268,10 @@ def hat_load_derivs_exact(load: LoadSpec, xl, xr):
             np.where(singular, zero, dIr_dxl),
             np.where(singular, dIr_dxr_true, dIr_dxr),
         )
-    F, _ = _antiderivatives(load)
+    F, f = load.bind("F"), load.bind("f")
     I_l, I_r = hat_loads_exact(load, xl, xr)
-    fl = forcing_value(load, xl)
-    fr = forcing_value(load, xr)
+    fl = f(xl)
+    fr = f(xr)
     dF = F(xr) - F(xl)
     dIl_dxl = -fl + I_l / h
     dIl_dxr = dF / h - I_l / h
@@ -334,52 +329,17 @@ def hat_loads(load: LoadSpec, xl, xr):
     """Dispatch 1D hat loads by the load's integration mode."""
     if load.mode == "exact":
         return hat_loads_exact(load, xl, xr)
-    return line_hat_loads(lambda x: forcing_value(load, x), xl, xr, load.rule())
+    return line_hat_loads(load.bind("f"), xl, xr, load.rule())
 
 
 def hat_load_derivs(load: LoadSpec, xl, xr):
     if load.mode == "exact":
         return hat_load_derivs_exact(load, xl, xr)
-    return line_hat_load_derivs(
-        lambda x: forcing_value(load, x),
-        lambda x: forcing_derivative(load, x),
-        xl, xr, load.rule(),
-    )[1]
-
-
-def load_element_quadrature(load: LoadSpec, x_left, x_right, rule: QuadratureRule | None = None):
-    """Per-local-node quadrature loads (I_left, I_right) on one element."""
-    rule = rule or load.rule()
-    I_l, I_r = line_hat_loads(lambda x: forcing_value(load, x), x_left, x_right, rule)
-    return np.array([I_l, I_r])
+    return line_hat_load_derivs(load.bind("f"), load.bind("fp"), xl, xr, load.rule())[1]
 
 
 # ---------------------------------------------------------------------------
-# 2D forcing (arctan2d) and area loads
-
-def _uj(alpha, s, t):
-    return np.arctan(alpha * (t - s)) + np.arctan(alpha * s)
-
-
-def _ujp(alpha, s, t):
-    return alpha / (1.0 + (alpha * (t - s)) ** 2)
-
-
-def _separable_terms(load: LoadSpec):
-    """A 2D forcing as a sum of products fx(x) fy(y).
-
-    Each term is ((fx, fx'), (fy, fy')), a pair of 1D (value, derivative)
-    callables.  arctan2d: f = f1(x) u2(y) + u1(x) f2(y).
-    """
-    if load.family != "arctan2d":
-        raise ConfigurationError(f"{load.family} is not a separable 2D forcing")
-    a, s1, s2 = load.params["alpha"], load.params["s1"], load.params["s2"]
-    f1 = (partial(_arctan_f, a, s1), partial(_arctan_fp, a, s1))
-    f2 = (partial(_arctan_f, a, s2), partial(_arctan_fp, a, s2))
-    u1 = (partial(_uj, a, s1), partial(_ujp, a, s1))
-    u2 = (partial(_uj, a, s2), partial(_ujp, a, s2))
-    return ((f1, u2), (u1, f2))
-
+# 2D area loads
 
 # falling (0) or rising (1) 1D hat of each counterclockwise local node
 _X_HAT = np.array([0, 1, 1, 0])
@@ -423,7 +383,7 @@ def area_loads(load: LoadSpec, xs, ys):
         return np.repeat(quarter[:, None], 4, axis=1)
     rule = load.rule()
     return sum(_tensor(_axis_loads(fx, xs, rule), _axis_loads(fy, ys, rule))
-               for (fx, _), (fy, _) in _separable_terms(load))
+               for (fx, _), (fy, _) in load.bind("terms")())
 
 
 def area_load_derivs(load: LoadSpec, xs, ys):
@@ -440,7 +400,7 @@ def area_load_derivs(load: LoadSpec, xs, ys):
         return -d_hx, d_hx, -d_hy, d_hy
     rule = load.rule()
     d_dxl = d_dxr = d_dyb = d_dyt = 0.0
-    for (fx, fxp), (fy, fyp) in _separable_terms(load):
+    for (fx, fxp), (fy, fyp) in load.bind("terms")():
         ax, dax_l, dax_r = _axis_load_derivs(fx, fxp, xs, rule)
         ay, day_b, day_t = _axis_load_derivs(fy, fyp, ys, rule)
         d_dxl = d_dxl + _tensor(dax_l, ay)
@@ -580,24 +540,25 @@ def lshape_reference_energy(sigma1, sigma2):
     )
 
 
+#: problem family -> ||u||_b^2 of its exact solution, from the sigma tuple
+_ENERGIES = {
+    "arctan1d": energy_norm_sq_arctan1d,
+    "power1d": energy_norm_sq_power,
+    "twomaterial1d": energy_norm_sq_sine_material,
+    "arctan2d": energy_norm_sq_arctan2d,
+    "lshape": lambda sigma1, sigma2: -2.0 * lshape_reference_energy(sigma1, sigma2),
+}
+
+
 def exact_energy(problem):
     """||u||_b^2 of the benchmark's exact solution.
 
     The reference Ritz energy is J(u) = -||u||_b^2 / 2; for the L-shape
     the tabulated J(u) is converted accordingly.
     """
-    name, sigma = problem.family, problem.sigma
-    if name == "arctan1d":
-        return energy_norm_sq_arctan1d(*sigma)
-    if name == "power1d":
-        return energy_norm_sq_power(*sigma)
-    if name == "twomaterial1d":
-        return energy_norm_sq_sine_material(*sigma)
-    if name == "arctan2d":
-        return energy_norm_sq_arctan2d(*sigma)
-    if name == "lshape":
-        return -2.0 * lshape_reference_energy(*sigma)
-    raise ConfigurationError(f"no exact energy for problem family {name!r}")
+    if problem.family not in _ENERGIES:
+        raise ConfigurationError(f"no exact energy for problem family {problem.family!r}")
+    return _ENERGIES[problem.family](*problem.sigma)
 
 
 def reference_ritz(problem):

@@ -64,7 +64,7 @@ def mlp_forward(params: MlpParams, x):
 
 
 def mlp_backward(params: MlpParams, cache, grad_logits):
-    """Gradients of grad_logits . logits; returns (grads, grad_input)."""
+    """Gradients of grad_logits . logits with respect to the weights."""
     x, z1, z2 = cache
     g = np.asarray(grad_logits, dtype=float)
     dW3 = np.outer(g, z2)
@@ -74,9 +74,7 @@ def mlp_backward(params: MlpParams, cache, grad_logits):
     dz1 = (params.W2.T @ dz2) * (1.0 - z1 * z1)
     dW1 = np.outer(dz1, x)
     db1 = dz1
-    grad_input = params.W1.T @ dz1
-    grads = MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2, W3=dW3)
-    return grads, grad_input
+    return MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2, W3=dW3)
 
 
 def zero_grads(params: MlpParams) -> MlpParams:

@@ -1,5 +1,4 @@
-"""Adam (the workhorse) and one SGD+Nesterov variant used for the
-local-minimum comparison on the two-material benchmark.
+"""Adam, the one optimizer of both training modes.
 
 Learning-rate schedules are piecewise constant in the epoch: a list of
 (start_epoch, lr) pairs; the pair with the largest start_epoch not
@@ -57,28 +56,4 @@ def adam_step(state: AdamState, params, grads, epoch=0):
         v *= b2
         v += (1.0 - b2) * g * g
         p -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
-    return params, state
-
-
-@dataclass
-class NesterovState:
-    velocity: list
-    lr: float = 0.01
-    momentum: float = 0.95
-
-    @classmethod
-    def for_params(cls, params, lr=0.01, momentum=0.95):
-        arrays = params if isinstance(params, list) else params.arrays()
-        return cls(velocity=[np.zeros_like(a) for a in arrays], lr=lr, momentum=momentum)
-
-
-def nesterov_step(state: NesterovState, params, grads):
-    """SGD with momentum and Nesterov look-ahead, in place."""
-    arrays = params if isinstance(params, list) else params.arrays()
-    garrays = grads if isinstance(grads, list) else grads.arrays()
-    mu = state.momentum
-    for p, g, vel in zip(arrays, garrays, state.velocity):
-        vel *= mu
-        vel += g
-        p -= state.lr * (g + mu * vel)
     return params, state

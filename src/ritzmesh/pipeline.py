@@ -28,26 +28,26 @@ class Evaluation:
         return self.report.c
 
 
-def evaluate_mesh(problem, mesh, method="auto") -> Evaluation:
+def evaluate_mesh(problem, mesh) -> Evaluation:
     labeling = label_dirichlet(mesh, problem.boundary)
     system = assemble_system(mesh, labeling, problem.material, problem.load,
                              neumann=problem.neumann)
-    report = solve_spd(system, method=method)
+    report = solve_spd(system)
     return Evaluation(mesh=mesh, labeling=labeling, system=system, report=report,
                       J=ritz_energy(system, report.c))
 
 
-def evaluate(problem, theta=None, method="auto") -> Evaluation:
-    return evaluate_mesh(problem, problem.build_mesh(theta), method=method)
+def evaluate(problem, theta=None) -> Evaluation:
+    return evaluate_mesh(problem, problem.build_mesh(theta))
 
 
-def evaluate_uniform(problem, n_elements=None, method="auto") -> Evaluation:
-    return evaluate_mesh(problem, problem.uniform_mesh(n_elements), method=method)
+def evaluate_uniform(problem, n_elements=None) -> Evaluation:
+    return evaluate_mesh(problem, problem.uniform_mesh(n_elements))
 
 
-def evaluate_with_gradient(problem, theta=None, scale=1.0, method="auto"):
+def evaluate_with_gradient(problem, theta=None, scale=1.0):
     """Evaluation plus the reduced gradient over the logits."""
-    ev = evaluate(problem, theta, method=method)
+    ev = evaluate(problem, theta)
     grad = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c, scale=scale)
     return ev, grad
 

@@ -40,6 +40,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError("dim must be 1 or 2")
+        if self.n_elements < 1:
+            raise ConfigurationError(f"need at least one element, got {self.n_elements}")
         fixed = self.fixed_nodes
         if self.dim == 2 and (len(fixed) != 2 or not all(isinstance(f, tuple) for f in fixed)):
             raise ConfigurationError("2D problems need per-axis fixed node tuples")
@@ -213,24 +215,3 @@ def make_problem(family, sigma=None, n_elements=None, **kwargs):
     if n_elements is not None:
         kwargs["n_elements"] = int(n_elements)
     return factory(*args, **kwargs)
-
-
-def problem_config(problem: ProblemSpec) -> dict:
-    """JSON-ready description; make_problem(**problem_config(p)) == p."""
-    cfg = {
-        "family": problem.family,
-        "sigma": list(problem.sigma),
-        "n_elements": problem.n_elements,
-    }
-    if problem.load.mode == "quadrature":
-        cfg["mode"] = "quadrature"
-        cfg["order"] = problem.load.order
-    return cfg
-
-
-def problem_from_config(cfg: dict) -> ProblemSpec:
-    cfg = dict(cfg)
-    family = cfg.pop("family")
-    sigma = cfg.pop("sigma", None)
-    n = cfg.pop("n_elements", None)
-    return make_problem(family, sigma=sigma, n_elements=n, **cfg)

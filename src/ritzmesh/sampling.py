@@ -82,12 +82,6 @@ class ParamGrid:
         sigma = np.asarray(sigma, dtype=float)
         return np.array([axis.encode(sigma[i]) for i, axis in enumerate(self.axes)])
 
-    def train_tuples(self):
-        return self.tuples[self.train_idx]
-
-    def test_tuples(self):
-        return self.tuples[self.test_idx]
-
 
 def build_grid(axes) -> np.ndarray:
     """Cartesian product of the axis samples, axis 0 fastest."""

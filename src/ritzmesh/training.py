@@ -13,6 +13,7 @@ derivatives, pull back, update.
 
 import csv
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,25 @@ CHECKPOINT_VERSION = 1
 FLOAT_FMT = "%.17g"
 
 
+def write_csv(path, columns, rows):
+    """Fixed column order; integers as such, floats with 17 significant
+    digits, anything else by str."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
+
+
+def _format_cell(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return FLOAT_FMT % value
+    return str(value)
+
+
 @dataclass
 class History:
     """Per-iteration log rows with a fixed CSV schema."""
@@ -47,21 +67,10 @@ class History:
         return np.array([r[i] for r in self.rows])
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([_fmt(v) for v in row])
+        write_csv(path, self.columns, self.rows)
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FMT % value
-
-
-def train_nonparametric(problem, schedule=((0, 1e-2),), iterations=1000,
-                        seed=0, method="auto", callback=None):
+def train_nonparametric(problem, schedule=((0, 1e-2),), iterations=1000, callback=None):
     """Adapt one problem's mesh by gradient descent on the Ritz energy.
 
     The schedule is indexed by iteration here.  Returns (theta, history)
@@ -84,13 +93,13 @@ def train_nonparametric(problem, schedule=((0, 1e-2),), iterations=1000,
 
     for t in range(iterations):
         try:
-            ev = evaluate(problem, theta, method=method)
+            ev = evaluate(problem, theta)
         except DegenerateMeshError as exc:
             raise DegenerateMeshError(f"iteration {t}: {exc}") from exc
         grad = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c)
         record(t, ev.J)
         adam_step(state, [theta], [grad], epoch=t)
-    record(iterations, evaluate(problem, theta, method=method).J)
+    record(iterations, evaluate(problem, theta).J)
     return theta, history
 
 
@@ -127,8 +136,7 @@ def uniform_reference_energies(family, grid: ParamGrid, n_elements, indices=None
 
 
 def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
-                     epochs=50, batch=10, seed=0, hidden=(10, 10),
-                     monitor_every=10, checkpoint_path=None, method="auto"):
+                     epochs=50, batch=10, seed=0, monitor_every=10, checkpoint_path=None):
     """Train the parameter-to-mesh network on the balanced Ritz loss.
 
     The schedule is indexed by epoch.  History rows are
@@ -140,7 +148,7 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
     needed = np.union1d(grid.train_idx, grid.monitor_idx)
     refs = uniform_reference_energies(family, grid, n_elements, indices=needed)
     probe = make_problem(family, sigma=tuple(grid.tuples[0]), n_elements=n_elements)
-    params = lecun_init(len(grid.axes), probe.theta_size, hidden=hidden, seed=seed)
+    params = lecun_init(len(grid.axes), probe.theta_size, seed=seed)
     state = AdamState.for_params(params, schedule=schedule)
     history = History(columns=("iteration", "loss", "e_test"))
     exact = {tuple(s): ld.reference_ritz(make_problem(family, sigma=tuple(s),
@@ -154,7 +162,7 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
         for sigma in grid.tuples[grid.monitor_idx]:
             sig = tuple(sigma)
             try:
-                ev = evaluate_mesh(run.problem_for(sig), run.mesh_for(sig), method=method)
+                ev = evaluate_mesh(run.problem_for(sig), run.mesh_for(sig))
             except (DegenerateMeshError, SolverError) as exc:
                 logger.warning("monitor skipped sigma=%s: %s", sig, exc)
                 continue
@@ -178,7 +186,7 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
                 x = grid.encode(sigma)
                 logits, cache = mlp_forward(params, x)
                 try:
-                    ev = evaluate(problem, logits, method=method)
+                    ev = evaluate(problem, logits)
                 except (DegenerateMeshError, SolverError) as exc:
                     # one bad sample must not kill a long run
                     logger.warning("skipping sigma=%s at iteration %d: %s",
@@ -188,7 +196,7 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
                 losses.append(balanced_ritz(ev.J, ref))
                 grad_logits = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c,
                                             scale=1.0 / abs(ref))
-                g, _ = mlp_backward(params, cache, grad_logits)
+                g = mlp_backward(params, cache, grad_logits)
                 accumulate(grads, g)
             iteration += 1
             if not losses:

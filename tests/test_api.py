@@ -1,0 +1,66 @@
+"""Names that code outside the test suite imports or patches still exist.
+
+The demos and the reference-table script run on import and no test runs
+them; the benchmark wraps each layer's functions by module attribute and
+silently stops tracing one that is gone.  A deletion that breaks any of
+them fails here instead.
+"""
+
+import ast
+import importlib.util
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import ritzmesh
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(path for folder in ("demos", "scripts", "bench")
+                 for path in (ROOT / folder).glob("*.py"))
+
+
+def _ritzmesh_imports(path):
+    """(module, name) per `from ritzmesh[.x] import name`, and (module,
+    None) per `import ritzmesh[.x]`, in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ritzmesh":
+            yield from ((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names
+                        if alias.name.split(".")[0] == "ritzmesh")
+
+
+def _resolves(module, name):
+    owner = import_module(module)
+    if name is None or hasattr(owner, name):
+        return True
+    try:
+        import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_caller_imports_resolve(path):
+    missing = [(m, n) for m, n in _ritzmesh_imports(path) if not _resolves(m, n)]
+    assert not missing, f"{path.name} imports names ritzmesh no longer has: {missing}"
+
+
+def test_benchmark_span_targets_resolve():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for name, module, path in spans.TARGETS:
+        owner, attr = spans._resolve(module, path)
+        if owner is None or vars(owner).get(attr) is None:
+            missing.append(name)
+    assert not missing, f"benchmark spans without a target: {missing}"
+
+
+def test_package_all_imports():
+    namespace = {}
+    exec("from ritzmesh import *", namespace)
+    assert set(ritzmesh.__all__) <= namespace.keys()

@@ -7,14 +7,13 @@ import scipy.sparse as sp
 from ritzmesh.assembly import (
     _AX,
     _AY,
-    DofLabeling,
     MaterialField,
+    _element_stiffness_1d,
+    _element_stiffness_2d,
     _element_tables_2d,
     _scatter_pattern,
     assemble_system,
     assembly_gradient_contraction,
-    element_stiffness_1d,
-    element_stiffness_quad,
     label_dirichlet,
 )
 from ritzmesh.energy import ritz_energy
@@ -32,20 +31,33 @@ from ritzmesh.problems import (
 from ritzmesh.solver import solve_spd
 
 
+def stiffness_1d(x_left, x_right, coeff):
+    """The element matrix of a one-element mesh [x_left, x_right]."""
+    mesh = Mesh1D.from_nodes([x_left, x_right])
+    return _element_stiffness_1d(mesh, MaterialField(default=coeff))[0]
+
+
+def stiffness_quad(hx, hy, coeff):
+    """The element matrix of a one-element hx-by-hy mesh."""
+    mesh = TensorMesh2D(mesh_x=Mesh1D.from_nodes([0.0, hx]),
+                        mesh_y=Mesh1D.from_nodes([0.0, hy]))
+    return _element_stiffness_2d(mesh, MaterialField(default=coeff))[0]
+
+
 class TestElementStiffness1D:
     def test_unit_element(self):
         np.testing.assert_array_equal(
-            element_stiffness_1d(0.0, 1.0, 1.0), [[1, -1], [-1, 1]])
+            stiffness_1d(0.0, 1.0, 1.0), [[1, -1], [-1, 1]])
 
     def test_scaling(self):
         np.testing.assert_allclose(
-            element_stiffness_1d(0.0, 0.5, 10.0), [[20, -20], [-20, 20]])
+            stiffness_1d(0.0, 0.5, 10.0), [[20, -20], [-20, 20]])
 
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             h = rng.uniform(0.01, 2.0)
-            k = element_stiffness_1d(0.3, 0.3 + h, rng.uniform(0.1, 5.0))
+            k = stiffness_1d(0.3, 0.3 + h, rng.uniform(0.1, 5.0))
             np.testing.assert_allclose(k.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -54,7 +66,7 @@ class TestElementStiffnessQuad:
         expected = np.array([
             [4, -1, -2, -1], [-1, 4, -1, -2], [-2, -1, 4, -1], [-1, -2, -1, 4],
         ]) / 6.0
-        np.testing.assert_allclose(element_stiffness_quad(1.0, 1.0, 1.0), expected,
+        np.testing.assert_allclose(stiffness_quad(1.0, 1.0, 1.0), expected,
                                    rtol=1e-15)
 
     def test_symbolic_oracle(self):
@@ -85,15 +97,15 @@ class TestElementStiffnessQuad:
                     gi = grad_phi(i, x, y)
                     gj = grad_phi(j, x, y)
                     K[i, j] += wx[a] * wy[b] * (gi[0] * gj[0] + gi[1] * gj[1])
-        np.testing.assert_allclose(element_stiffness_quad(hx, hy, 1.0), K, rtol=1e-13)
+        np.testing.assert_allclose(stiffness_quad(hx, hy, 1.0), K, rtol=1e-13)
 
     def test_row_sums_vanish(self):
-        k = element_stiffness_quad(2.0, 0.3, 3.0)
+        k = stiffness_quad(2.0, 0.3, 3.0)
         np.testing.assert_allclose(k.sum(axis=1), 0.0, atol=1e-12)
 
     def test_axis_swap_permutation(self):
-        a = element_stiffness_quad(2.0, 1.0, 1.0)
-        b = element_stiffness_quad(1.0, 2.0, 1.0)
+        a = stiffness_quad(2.0, 1.0, 1.0)
+        b = stiffness_quad(1.0, 2.0, 1.0)
         # swapping axes maps local nodes (ll, lr, ur, ul) -> (ll, ul, ur, lr)
         perm = [0, 3, 2, 1]
         np.testing.assert_allclose(a, b[np.ix_(perm, perm)], rtol=1e-14)
@@ -135,11 +147,6 @@ class TestLabeling:
             mesh = TensorMesh2D(mesh_x=axis, mesh_y=axis)
             lab = label_dirichlet(mesh, "lshape")
             assert lab.n_free == 3 * n * n // 4 - 2 * n + 1
-
-    def test_nonzero_dirichlet_values_rejected(self):
-        with pytest.raises(ValueError, match="nonzero Dirichlet"):
-            DofLabeling(free=np.array([1, 2]), dirichlet=np.array([0]),
-                        values=np.array([0.5]), n_nodes=3)
 
     def test_relabeling_tracks_moving_nodes(self):
         lab0 = label_dirichlet(Mesh1D.from_nodes([0.0, 0.4, 1.0]), "both")

@@ -181,6 +181,32 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d", "N": "x"})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command,payload", [
+        ("adapt", {"problem": "arctan1d", "N": 8, "iterations": "x"}),
+        ("adapt", {"problem": "arctan1d", "N": 8, "iterations": -3}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": {"counts": [5, 5]}, "epochs": "x"}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": {"counts": [5, 5]}, "batch": 0}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": {"counts": [5, 5]},
+                   "monitor_every": 0}),
+        ("convergence", {"problem": "arctan1d", "N_list": ["ab"], "iterations": 2}),
+        ("convergence", {"problem": "arctan1d", "N_list": 8, "iterations": 2}),
+        ("landscape", {"sweep": {"count": "x"}}),
+        ("landscape", {"sweep": [1]}),
+        ("landscape", {"movable_index": 99}),
+        ("landscape", {"N": 0}),
+        ("landscape", {"quad_orders": []}),
+        ("landscape", {"quad_orders": 2}),
+        ("solve", {"problem": "arctan1d", "N": 0}),
+        ("solve", {"problem": "arctan1d", "N": -4}),
+    ], ids=["iterations-x", "iterations-negative", "epochs-x", "batch-0", "monitor_every-0",
+            "N_list-entry", "N_list-scalar", "sweep-count-x", "sweep-list", "movable_index-99",
+            "landscape-N-0", "quad_orders-empty", "quad_orders-scalar", "solve-N-0",
+            "solve-N-negative"])
+    def test_bad_config_value(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_inconsistent_reference_exit_code(self, tmp_path):
         # one-point quadrature lets adaptation push J below J(u)
         cfg = write_config(tmp_path, "c.json", {

@@ -47,7 +47,7 @@ class TestBalancedRitz:
         from ritzmesh.training import train_nonparametric
         p = arctan1d(10.0, 0.5, n_elements=12)
         ref = evaluate_uniform(p).J
-        theta, _ = train_nonparametric(p, iterations=150, seed=0)
+        theta, _ = train_nonparametric(p, iterations=150)
         J_adapted = evaluate(p, theta).J
         assert balanced_ritz(J_adapted, ref) <= balanced_ritz(ref, ref) + 1e-12
 

@@ -1,4 +1,4 @@
-"""Problem registry, template defaults, and config round-trips."""
+"""Problem registry, template defaults, and exact-energy lookup."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from ritzmesh.problems import (
     lshape,
     make_problem,
     power1d,
-    problem_config,
-    problem_from_config,
     registry,
     twomaterial1d,
 )
@@ -79,24 +77,6 @@ class TestProblemSpec:
     def test_insufficient_elements_rejected(self):
         with pytest.raises(ConfigurationError):
             twomaterial1d(10.0, n_elements=1).n_logits(0)
-
-
-class TestConfigRoundTrip:
-    @pytest.mark.parametrize("template", registry(), ids=BENCHMARKS)
-    def test_registry_round_trips(self, template):
-        cfg = problem_config(template)
-        rebuilt = problem_from_config(cfg)
-        assert rebuilt == template
-
-    def test_round_trip_survives_json(self):
-        import json
-        p = make_problem("arctan1d", sigma=(25.0, 0.3), n_elements=64)
-        cfg = json.loads(json.dumps(problem_config(p)))
-        assert problem_from_config(cfg) == p
-
-    def test_quadrature_mode_round_trips(self):
-        p = arctan1d(50.0, 0.5, n_elements=10, mode="quadrature", order=2)
-        assert problem_from_config(problem_config(p)) == p
 
 
 class TestExactEnergyDispatch:

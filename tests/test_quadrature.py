@@ -13,14 +13,11 @@ from ritzmesh.loads import (
     energy_norm_sq_arctan1d,
     energy_norm_sq_power,
     energy_norm_sq_sine_material,
-    forcing_value,
     hat_load_derivs,
     hat_loads,
     hat_loads_exact,
     line_hat_load_derivs,
     line_hat_loads,
-    load_element_exact,
-    load_element_quadrature,
     power_neumann,
 )
 from ritzmesh.quadrature import gauss_legendre
@@ -79,39 +76,75 @@ def _oracle(load, xl, xr, a0, a1, panels=64, order=16):
     rule = gauss_legendre(order)
     grid = np.linspace(xl, xr, panels + 1)
     pts, wts = rule.mapped(grid[:-1], grid[1:])
-    f = forcing_value(load, pts)
+    f = load.bind("f")(pts)
     return float(np.sum(wts * f * (a0 + a1 * pts)))
+
+
+def _affine_load(load, xl, xr, a0, a1):
+    """int_{xl}^{xr} f (a0 + a1 x) dx from hat_loads_exact: the affine
+    function is a0 + a1 xl times the falling hat plus a0 + a1 xr times
+    the rising one."""
+    I_l, I_r = hat_loads_exact(load, np.array([xl]), np.array([xr]))
+    return float((a0 + a1 * xl) * I_l[0] + (a0 + a1 * xr) * I_r[0])
+
+
+class TestFamilyTable:
+    def test_parameters_bind_in_order(self):
+        x = np.array([0.1, 0.45, 0.9])
+        arctan = LoadSpec("arctan1d", {"alpha": 3.0, "s": 0.4})
+        np.testing.assert_allclose(arctan.bind("f")(x),
+                                   54.0 * (x - 0.4) / (1 + 9.0 * (x - 0.4) ** 2) ** 2,
+                                   rtol=1e-14)
+        power = LoadSpec("power", {"sigma": 0.7})
+        np.testing.assert_allclose(power.bind("G")(x), 0.3 * x**0.7, rtol=1e-14)
+        (fx, _), (fy, _) = LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6},
+                                    mode="quadrature").bind("terms")()[0]
+        np.testing.assert_allclose(fx(x), arctan.bind("f")(x), rtol=1e-14)
+        assert fy(0.6) == np.arctan(3.0 * 0.6)
+
+    @pytest.mark.parametrize("load,name", [
+        (LoadSpec("power", {"sigma": 0.7}), "fp"),
+        (LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6}, mode="quadrature"), "f"),
+        (LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6}, mode="quadrature"), "G"),
+        (LoadSpec("arctan1d", {"alpha": 3.0, "s": 0.4}), "terms"),
+    ])
+    def test_unsupported_function_is_configuration_error(self, load, name):
+        with pytest.raises(ConfigurationError):
+            load.bind(name)
 
 
 class TestExactLoads:
     def test_constant_rising_hat(self):
         load = LoadSpec("constant", {"value": 1.0})
         h = 0.3
-        assert abs(load_element_exact(load, 0.0, h, 0.0, 1.0 / h) - h / 2) < 1e-15
+        assert abs(_affine_load(load, 0.0, h, 0.0, 1.0 / h) - h / 2) < 1e-15
 
     def test_power_sigma_two_is_constant(self):
         # sigma = 2 forces f = -2; falling hat from 1 to 0 on (0.25, 0.5)
         load = LoadSpec("power", {"sigma": 2.0})
-        got = load_element_exact(load, 0.25, 0.5, 2.0, -4.0)
+        got = _affine_load(load, 0.25, 0.5, 2.0, -4.0)
         assert abs(got - (-0.25)) < 1e-14
 
     def test_arctan_matches_oracle(self):
         load = LoadSpec("arctan1d", {"alpha": 50.0, "s": 0.5})
-        h = 0.2
-        got = load_element_exact(load, 0.4, 0.6, -2.0, 5.0)
+        got = _affine_load(load, 0.4, 0.6, -2.0, 5.0)
         ref = _oracle(load, 0.4, 0.6, -2.0, 5.0)
         assert abs(got - ref) / abs(ref) < 1e-10
 
-    def test_divergent_request_raises(self):
+    def test_divergent_request_is_infinite(self):
+        # the falling hat is 1 at the singularity, where f ~ x^(sg-2) is
+        # not integrable for sg < 1; the rising hat's load stays finite
         load = LoadSpec("power", {"sigma": 0.7})
-        with pytest.raises(ValueError):
-            load_element_exact(load, 0.0, 0.1, 1.0, -10.0)
+        I_l, I_r = hat_loads_exact(load, np.array([0.0]), np.array([0.1]))
+        assert np.isposinf(I_l[0])
+        assert np.isfinite(I_r[0])
 
     def test_power_rising_hat_at_singularity(self):
         sg = 0.7
         load = LoadSpec("power", {"sigma": sg})
         h = 0.1
-        got = load_element_exact(load, 0.0, h, 0.0, 1.0 / h)
+        # the rising hat x/h alone: the falling hat's load is infinite here
+        got = hat_loads_exact(load, np.array([0.0]), np.array([h]))[1][0]
         # int_0^h sg (1-sg) x^(sg-2) (x/h) dx = (1-sg) h^(sg-1)
         assert abs(got - (1 - sg) * h ** (sg - 1)) < 1e-13
 
@@ -128,23 +161,30 @@ class TestExactLoads:
             xl = rng.uniform(0.01, 0.8)
             xr = xl + rng.uniform(0.01, 0.19)
             a0, a1 = rng.normal(size=2)
-            got = load_element_exact(load, xl, xr, a0, a1)
+            got = _affine_load(load, xl, xr, a0, a1)
             ref = _oracle(load, xl, xr, a0, a1)
             assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
     def test_hat_pair_consistent_with_single(self):
+        # each hat load against a0 dF + a1 dG, the family's antiderivative
+        # pair applied to the hat as one affine function
         load = LoadSpec("arctan1d", {"alpha": 10.0, "s": 0.5})
         xl, xr = np.array([0.3]), np.array([0.45])
         I_l, I_r = hat_loads_exact(load, xl, xr)
         h = 0.15
-        assert abs(I_l[0] - load_element_exact(load, 0.3, 0.45, 0.45 / h, -1 / h)) < 1e-14
-        assert abs(I_r[0] - load_element_exact(load, 0.3, 0.45, -0.3 / h, 1 / h)) < 1e-14
+        F, G = load.bind("F"), load.bind("G")
+
+        def single(a0, a1):
+            return a0 * (F(0.45) - F(0.3)) + a1 * (G(0.45) - G(0.3))
+
+        assert abs(I_l[0] - single(0.45 / h, -1 / h)) < 1e-14
+        assert abs(I_r[0] - single(-0.3 / h, 1 / h)) < 1e-14
 
 
 class TestQuadratureLoads:
     def test_polynomial_exactness(self):
         load = LoadSpec("constant", {"value": 1.0}, mode="quadrature", order=1)
-        vals = load_element_quadrature(load, 0.2, 0.7)
+        vals = hat_loads(load, np.array([0.2]), np.array([0.7]))
         np.testing.assert_allclose(vals, 0.25, rtol=1e-14)
 
     def test_two_point_misses_sharp_load(self):
