@@ -5,15 +5,22 @@ on axis-aligned rectangles (2D).  The assembled system is restricted to
 the free degrees of freedom; Dirichlet labeling is recomputed from the
 current node coordinates on every call, so it tracks moving nodes.
 
+The load vector is a node vector per axis in 1D and a sum of outer
+products of per-axis node vectors in 2D (loads.node_loads,
+loads.area_loads); Neumann data enter it as point loads at the right
+end of an axis, so there are no separate boundary integrals.
+
 The gradient contraction differentiates the assembled Ritz energy
     E = 1/2 c^T B c - l . c
 with respect to every node coordinate, holding the coefficients c
 fixed.  Element stiffness and load derivatives are closed forms, so no
 operator-overloading machinery is involved and the linear solve stays
-outside the differentiation path.
+outside the differentiation path.  The load part is one 1D contraction
+per axis: in 2D, term k's x factor meets the coefficients C^T ly_k and
+its y factor C lx_k, where C is the (ny+1, nx+1) coefficient grid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -101,16 +108,6 @@ class MaterialField:
             else:
                 coords.update(region[2 * axis: 2 * axis + 2])
         return sorted(coords)
-
-
-@dataclass(frozen=True)
-class NeumannSpec:
-    """Neumann data: a constant endpoint flux in 1D, or manufactured
-    edge fluxes with a per-edge quadrature order in 2D."""
-
-    endpoint_value: float | None = None
-    edge_fluxes: tuple = field(default=None, compare=False)
-    edge_order: int = 50
 
 
 @dataclass(frozen=True)
@@ -234,56 +231,31 @@ def _scatter_pattern(grid_shape, free_bytes):
     return out
 
 
-def _element_loads(mesh, load):
-    """Raw per-element load contributions and scatter tables.
-
-    Returns (conn, contributions) where conn has one row of node
-    indices per element row in contributions.  Entries destined for
-    Dirichlet nodes may be non-finite for singular forcings; callers
-    must drop them before use.
-    """
-    if isinstance(mesh, Mesh1D):
-        x = mesh.nodes
-        I_l, I_r = ld.hat_loads(load, x[:-1], x[1:])
-        e = np.arange(mesh.n_elements)
-        conn = np.stack([e, e + 1], axis=1)
-        vals = np.stack([I_l, I_r], axis=1)
-        return conn, vals
-    conn = _connectivity_2d(mesh.mesh_x.n_elements, mesh.mesh_y.n_elements)
-    vals = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
-    return conn, vals
-
-
 def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
-                    load: ld.LoadSpec, neumann: NeumannSpec | None = None) -> SparseSystem:
+                    load: ld.LoadSpec) -> SparseSystem:
     """Assemble the restricted stiffness matrix and load vector.
 
-    The load vector collects forcing integrals and Neumann boundary
-    terms.  The stiffness pattern comes from _scatter_pattern, cached per
-    element grid and free set; each call computes element values only.
+    The load vector collects forcing integrals and the load's Neumann
+    flux at the right end of each axis; entries at Dirichlet nodes,
+    which may be non-finite for singular forcings, are dropped.  The
+    stiffness pattern comes from _scatter_pattern, cached per element
+    grid and free set; each call computes element values only.
     """
     _check_material_resolved(mesh, material)
     if isinstance(mesh, Mesh1D):
         grid_shape = (mesh.n_elements,)
         K = _element_stiffness_1d(mesh, material)
+        x = mesh.nodes
+        rhs = ld.node_loads(*ld.hat_loads(load, x[:-1], x[1:]), load.bind("flux")())
     else:
         grid_shape = (mesh.mesh_x.n_elements, mesh.mesh_y.n_elements)
         K = _element_stiffness_2d(mesh, material)
+        rhs = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
     free = np.asarray(labeling.free, dtype=np.int64)
     indptr, indices, sel, slot = _scatter_pattern(grid_shape, free.tobytes())
     data = np.bincount(slot, weights=K.ravel()[sel], minlength=indices.size)
     B = sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
     B.has_canonical_format = True
-
-    rhs = np.zeros(labeling.n_nodes)
-    conn, vals = _element_loads(mesh, load)
-    free_mask = np.zeros(labeling.n_nodes, dtype=bool)
-    free_mask[labeling.free] = True
-    keep = free_mask[conn]
-    np.add.at(rhs, conn[keep], vals[keep])
-
-    if neumann is not None:
-        _apply_neumann(rhs, mesh, labeling, neumann)
     return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling)
 
 
@@ -304,121 +276,72 @@ def _element_stiffness_2d(mesh: TensorMesh2D, material: MaterialField):
     return (coeff * (hy / hx))[:, None, None] * _AX + (coeff * (hx / hy))[:, None, None] * _AY
 
 
-def _apply_neumann(rhs, mesh, labeling, neumann: NeumannSpec):
-    if isinstance(mesh, Mesh1D):
-        if neumann.endpoint_value:
-            ld.apply_neumann_endpoint(rhs, mesh.nodes.size - 1, neumann.endpoint_value)
-        return
-    if neumann.edge_fluxes is None:
-        return
-    g_right, _, g_top, _ = neumann.edge_fluxes
-    rule = ld.gauss_legendre(neumann.edge_order)
-    xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
-    stride = xs.size
-    # right edge x = bx: 1D hats along y
-    I_l, I_r = ld.line_hat_loads(g_right, ys[:-1], ys[1:], rule)
-    idx = np.arange(ys.size - 1) * stride + (stride - 1)
-    np.add.at(rhs, idx, I_l)
-    np.add.at(rhs, idx + stride, I_r)
-    # top edge y = by: 1D hats along x
-    I_l, I_r = ld.line_hat_loads(g_top, xs[:-1], xs[1:], rule)
-    idx = (ys.size - 1) * stride + np.arange(xs.size - 1)
-    np.add.at(rhs, idx, I_l)
-    np.add.at(rhs, idx + 1, I_r)
-
-
 def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: MaterialField,
-                                  load: ld.LoadSpec, c_free,
-                                  neumann: NeumannSpec | None = None):
+                                  load: ld.LoadSpec, c_free):
     """d/d(node coordinates) of E = 1/2 c^T B c - l . c at fixed c.
 
     Because dE/dc = 0 at the solved coefficients, this contraction is
     the full reduced gradient of the Ritz energy with respect to the
     node coordinates; no derivative of the solve is needed.  Entries
     for pinned coordinates (interval endpoints, fixed nodes) are
-    computed too and zeroed later by the mesh pullback.
+    computed too and zeroed later by the mesh pullback.  The Neumann
+    point loads sit at the fixed end b and do not move.
 
     Returns a vector over the 1D nodes, or a pair (grad_x, grad_y) over
     the two axes' node coordinates in 2D.
     """
     c_full = labeling.full_vector(c_free)
-    free_mask = np.zeros(labeling.n_nodes, dtype=bool)
-    free_mask[labeling.free] = True
-
     if isinstance(mesh, Mesh1D):
-        return _contraction_1d(mesh, material, load, neumann, c_full, free_mask)
-    return _contraction_2d(mesh, material, load, neumann, c_full, free_mask)
+        return _contraction_1d(mesh, material, load, c_full)
+    return _contraction_2d(mesh, material, load, c_full)
 
 
-def _contraction_1d(mesh, material, load, neumann, c_full, free_mask):
+def _load_contraction(grad, w, derivs):
+    """Subtract w . d(node loads) from grad, for node coefficients w and
+    the per-element hat-load derivatives (dIl_dxl, dIl_dxr, dIr_dxl,
+    dIr_dxr) of one axis: left element ends first, then right ends."""
+    dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr = derivs
+    wl, wr = w[:-1], w[1:]
+    grad[:-1] -= wl * dIl_dxl + wr * dIr_dxl
+    grad[1:] -= wl * dIl_dxr + wr * dIr_dxr
+
+
+def _contraction_1d(mesh, material, load, c_full):
     x = mesh.nodes
     h = mesh.lengths
-    mid = 0.5 * (x[:-1] + x[1:])
-    coeff = material.value_at_1d(mid)
+    coeff = material.value_at_1d(0.5 * (x[:-1] + x[1:]))
     dc = c_full[1:] - c_full[:-1]
     # stiffness part: d/dh of coeff/(2h) (c_r - c_l)^2
     s = -coeff * dc * dc / (2.0 * h * h)
     grad = np.zeros_like(x)
-    np.add.at(grad, np.arange(h.size), -s)
-    np.add.at(grad, np.arange(h.size) + 1, s)
-    # load part, skipping entries owned by Dirichlet nodes
-    dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr = ld.hat_load_derivs(load, x[:-1], x[1:])
-    cl = np.where(free_mask[:-1], c_full[:-1], 0.0)
-    cr = np.where(free_mask[1:], c_full[1:], 0.0)
-    np.add.at(grad, np.arange(h.size), -(cl * dIl_dxl + cr * dIr_dxl))
-    np.add.at(grad, np.arange(h.size) + 1, -(cl * dIl_dxr + cr * dIr_dxr))
-    # the 1D endpoint Neumann term g * v(b) does not move with any node
+    grad[:-1] -= s
+    grad[1:] += s
+    # load part; c_full is zero at Dirichlet nodes
+    _load_contraction(grad, c_full, ld.hat_load_derivs(load, x[:-1], x[1:]))
     return grad
 
 
-def _contraction_2d(mesh, material, load, neumann, c_full, free_mask):
-    ex, ey, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
+def _contraction_2d(mesh, material, load, c_full):
+    _, _, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
     hx = xr - xl
     hy = yt - yb
     coeff = material.value_at_2d(0.5 * (xl + xr), 0.5 * (yb + yt))
-    C = c_full[conn]                      # (E, 4)
-    a = 0.5 * np.einsum("ei,ij,ej->e", C, _AX, C)
-    b = 0.5 * np.einsum("ei,ij,ej->e", C, _AY, C)
-    s_hx = coeff * (-hy / hx**2 * a + b / hy)
-    s_hy = coeff * (a / hx - hx / hy**2 * b)
-
-    Cm = np.where(free_mask[conn], C, 0.0)
-    d_dxl, d_dxr, d_dyb, d_dyt = ld.area_load_derivs(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
-    lx_l = np.einsum("ei,ei->e", Cm, d_dxl)
-    lx_r = np.einsum("ei,ei->e", Cm, d_dxr)
-    ly_b = np.einsum("ei,ei->e", Cm, d_dyb)
-    ly_t = np.einsum("ei,ei->e", Cm, d_dyt)
-
-    grad_x = np.zeros_like(mesh.mesh_x.nodes)
-    grad_y = np.zeros_like(mesh.mesh_y.nodes)
-    np.add.at(grad_x, ex, -s_hx - lx_l)
-    np.add.at(grad_x, ex + 1, s_hx - lx_r)
-    np.add.at(grad_y, ey, -s_hy - ly_b)
-    np.add.at(grad_y, ey + 1, s_hy - ly_t)
-
-    if neumann is not None and neumann.edge_fluxes is not None:
-        _edge_contraction(mesh, neumann, c_full, free_mask, grad_x, grad_y)
-    return grad_x, grad_y
-
-
-def _edge_contraction(mesh, neumann, c_full, free_mask, grad_x, grad_y):
-    g_right, g_right_p, g_top, g_top_p = neumann.edge_fluxes
-    rule = ld.gauss_legendre(neumann.edge_order)
+    Ce = c_full[conn]                     # (E, 4)
+    a = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AX, Ce)
+    b = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AY, Ce)
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
-    stride = xs.size
+    # elements run x fastest: sum the stiffness terms over each column and row
+    s_x = (coeff * (-hy / hx**2 * a + b / hy)).reshape(ys.size - 1, xs.size - 1).sum(axis=0)
+    s_y = (coeff * (a / hx - hx / hy**2 * b)).reshape(ys.size - 1, xs.size - 1).sum(axis=1)
+    grad_x = np.zeros_like(xs)
+    grad_y = np.zeros_like(ys)
+    grad_x[:-1] -= s_x
+    grad_x[1:] += s_x
+    grad_y[:-1] -= s_y
+    grad_y[1:] += s_y
 
-    idx = np.arange(ys.size - 1) * stride + (stride - 1)
-    _, (dIl_dl, dIl_dr, dIr_dl, dIr_dr) = ld.line_hat_load_derivs(
-        g_right, g_right_p, ys[:-1], ys[1:], rule)
-    cl = np.where(free_mask[idx], c_full[idx], 0.0)
-    cr = np.where(free_mask[idx + stride], c_full[idx + stride], 0.0)
-    np.add.at(grad_y, np.arange(ys.size - 1), -(cl * dIl_dl + cr * dIr_dl))
-    np.add.at(grad_y, np.arange(ys.size - 1) + 1, -(cl * dIl_dr + cr * dIr_dr))
-
-    idx = (ys.size - 1) * stride + np.arange(xs.size - 1)
-    _, (dIl_dl, dIl_dr, dIr_dl, dIr_dr) = ld.line_hat_load_derivs(
-        g_top, g_top_p, xs[:-1], xs[1:], rule)
-    cl = np.where(free_mask[idx], c_full[idx], 0.0)
-    cr = np.where(free_mask[idx + 1], c_full[idx + 1], 0.0)
-    np.add.at(grad_x, np.arange(xs.size - 1), -(cl * dIl_dl + cr * dIr_dl))
-    np.add.at(grad_x, np.arange(xs.size - 1) + 1, -(cl * dIl_dr + cr * dIr_dr))
+    C = c_full.reshape(ys.size, xs.size)
+    for (lx, dx), (ly, dy) in ld.area_load_derivs(load, xs, ys):
+        _load_contraction(grad_x, C.T @ ly, dx)
+        _load_contraction(grad_y, C @ lx, dy)
+    return grad_x, grad_y

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,11 +42,12 @@ def load_config(path):
 def build_problem(cfg):
     if "problem" not in cfg:
         raise ConfigurationError("config is missing the 'problem' key")
+    n_elements = _value("N", cfg["N"], lo=1) if "N" in cfg else None
     try:
         return problems.make_problem(
             cfg["problem"],
             sigma=cfg.get("sigma"),
-            n_elements=cfg.get("N"),
+            n_elements=n_elements,
             **cfg.get("problem_options", {}),
         )
     except (TypeError, ValueError) as exc:
@@ -74,11 +76,20 @@ def apply_preset(cfg, preset):
 
 
 def _value(name, value, kind=int, lo=None, hi=None):
-    """A config value converted by `kind` and checked against [lo, hi]."""
+    """A config value converted by `kind` and checked against [lo, hi].
+
+    Bools, non-integral numbers for an int and non-finite values are
+    rejected, not truncated or passed on.
+    """
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError(value)
         out = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad {name}: {value!r} is not {kind.__name__}") from exc
+    if not math.isfinite(out):
+        raise ConfigurationError(f"bad {name}: {value!r} is not finite")
     if lo is not None and not out >= lo:
         raise ConfigurationError(f"bad {name}: {value!r} is below {lo}")
     if hi is not None and not out <= hi:

@@ -85,9 +85,7 @@ def ritz_gradient(problem, mesh, labeling, c_free, scale=1.0):
     in 2D the x-axis block precedes the y-axis block.
     """
     grad_nodes = assembly_gradient_contraction(
-        mesh, labeling, problem.material, problem.load, c_free,
-        neumann=problem.neumann,
-    )
+        mesh, labeling, problem.material, problem.load, c_free)
     if isinstance(mesh, Mesh1D):
         g = mesh_pullback(grad_nodes, mesh.record, problem.mesh_params(None))
         return scale * g

@@ -1,23 +1,30 @@
 """Forcing families: elementwise load integrals, exactly or by quadrature.
 
 FAMILIES maps each family name to one Forcing record holding the
-family's functions of x: the value f, its derivative f', and the
-antiderivative pair F(x) = int f dx and G(x) = int x f dx, or for a 2D
-family its separable terms.  A LoadSpec binds its parameters to them
-with LoadSpec.bind.  With F and G the load of an affine shape function
-over an element is exact to roundoff:
+family's functions of x: the value f, its derivative f', the
+antiderivative pair F(x) = int f dx and G(x) = int x f dx and the
+Neumann flux u'(b) of its manufactured solution, or for a 2D family
+its separable terms.  A LoadSpec binds its parameters to them with
+LoadSpec.bind.  With F and G the load of an affine shape function over
+an element is exact to roundoff:
 
     int_{xl}^{xr} f(x) (a0 + a1 x) dx = a0 (F(xr) - F(xl)) + a1 (G(xr) - G(xl)).
 
 Per-element hat loads and their derivatives with respect to element
 endpoints follow from the Leibniz rule; these derivatives feed the
 assembly gradient.  The quadrature path maps a Gauss-Legendre rule
-affinely and therefore has closed endpoint derivatives as well.  A 2D
-forcing is declared as a sum of products of 1D factors, so its tensor
-rule over bilinear hats factors into 1D hat loads on each axis.
+affinely and therefore has closed endpoint derivatives as well.
+
+node_loads assembles the per-element loads of one axis into a node
+vector: falling-hat loads at each element's left node, rising-hat
+loads at its right node, and the Neumann flux as a point load at the
+right end b.  A 2D forcing is a sum of products of 1D factors, each
+with its own flux at b, so its tensor rule over bilinear hats factors
+too: the 2D load vector is the sum over terms of outer products of the
+two axes' node vectors, and the edge fluxes are these point loads.
 
 Families (a record field is None where the family does not support it):
-    constant       f = c                                 (exact)
+    constant       f = c                                 (exact; 2D: (c, 1) terms)
     arctan1d       f = 2 a^3 (x-s) / (1 + a^2 (x-s)^2)^2 (exact)
     power          f = sg (1-sg) x^(sg-2)                (exact only; no f')
     sine_material  f = 4 pi^2 sin(2 pi x)                (exact)
@@ -66,9 +73,9 @@ class LoadSpec:
                 raise ConfigurationError("power family requires sigma > 0.5")
         if self.family == "arctan1d" and not self.params["alpha"] > 0:
             raise ConfigurationError("arctan1d requires alpha > 0")
-        if self.mode == "quadrature" and (isinstance(self.order, bool)
-                                          or not isinstance(self.order, Integral)
-                                          or not 1 <= self.order <= 64):
+        # checked in exact mode too: 2D constant loads use the rule
+        if (isinstance(self.order, bool) or not isinstance(self.order, Integral)
+                or not 1 <= self.order <= 64):
             raise ConfigurationError(
                 f"quadrature order must be an integer in [1, 64], got {self.order!r}")
 
@@ -76,7 +83,7 @@ class LoadSpec:
         return gauss_legendre(self.order)
 
     def bind(self, name):
-        """The family's function `name` ("f", "fp", "F", "G" or "terms")
+        """The family's function `name` ("f", "fp", "F", "G", "flux" or "terms")
         with this load's parameters bound as leading arguments."""
         forcing = FAMILIES[self.family]
         fun = getattr(forcing, name)
@@ -168,35 +175,60 @@ def _ujp(alpha, s, t):
     return alpha / (1.0 + (alpha * (t - s)) ** 2)
 
 
+def _constant_terms(c):
+    """f = c as the one term c(x) * 1(y), each factor without flux."""
+    return (((partial(_constant_f, c), partial(_constant_fp, c), 0.0),
+             (partial(_constant_f, 1.0), partial(_constant_fp, 1.0), 0.0)),)
+
+
 def _arctan2d_terms(alpha, s1, s2):
-    """f = f1(x) u2(y) + u1(x) f2(y) as ((f1, f1'), (u2, u2')) and
-    ((u1, u1'), (f2, f2')): each term pairs 1D (value, derivative)
-    callables of x with those of y."""
-    f1 = (partial(_arctan_f, alpha, s1), partial(_arctan_fp, alpha, s1))
-    f2 = (partial(_arctan_f, alpha, s2), partial(_arctan_fp, alpha, s2))
-    u1 = (partial(_uj, alpha, s1), partial(_ujp, alpha, s1))
-    u2 = (partial(_uj, alpha, s2), partial(_ujp, alpha, s2))
+    """f = f1(x) u2(y) + u1(x) f2(y), each term a pair of 1D factors
+    (value, derivative, flux at b) of x and of y.  The Neumann data
+    du/dx = u1'(1) u2(y) at x = 1 and du/dy = u1(x) u2'(1) at y = 1 are
+    the fluxes of f1 and f2: u1'(1) and u2'(1)."""
+    f1 = (partial(_arctan_f, alpha, s1), partial(_arctan_fp, alpha, s1), _ujp(alpha, s1, 1.0))
+    f2 = (partial(_arctan_f, alpha, s2), partial(_arctan_fp, alpha, s2), _ujp(alpha, s2, 1.0))
+    u1 = (partial(_uj, alpha, s1), partial(_ujp, alpha, s1), 0.0)
+    u2 = (partial(_uj, alpha, s2), partial(_ujp, alpha, s2), 0.0)
     return ((f1, u2), (u1, f2))
+
+
+def arctan1d_neumann(alpha, s):
+    """u'(1) for the arctan sigmoid solution."""
+    return alpha / (1.0 + alpha**2 * (1.0 - s) ** 2)
+
+
+def power_neumann(sigma):
+    """u'(1) = sigma for u = x^sigma."""
+    return float(sigma)
+
+
+def _no_flux(*params):
+    return 0.0
 
 
 @dataclass(frozen=True)
 class Forcing:
     """One forcing family.  Every function takes the values of the
-    parameters named in `keys`, in that order, then x; None marks what
-    the family does not support."""
+    parameters named in `keys`, in that order, then x (flux and terms
+    take the parameters only); None marks what the family does not
+    support."""
 
     keys: tuple
     f: Callable | None
     fp: Callable | None
     F: Callable | None
     G: Callable | None
-    terms: Callable | None = None    # 2D: separable ((fx, fx'), (fy, fy')) terms
+    flux: Callable = _no_flux        # 1D: Neumann flux u'(b), a point load at b
+    terms: Callable | None = None    # 2D: separable ((fx, fx', gx), (fy, fy', gy)) terms
 
 
 FAMILIES = {
-    "constant": Forcing(("value",), _constant_f, _constant_fp, _constant_F, _constant_G),
-    "arctan1d": Forcing(("alpha", "s"), _arctan_f, _arctan_fp, _arctan_F, _arctan_G),
-    "power": Forcing(("sigma",), _power_f, None, _power_F, _power_G),
+    "constant": Forcing(("value",), _constant_f, _constant_fp, _constant_F, _constant_G,
+                        terms=_constant_terms),
+    "arctan1d": Forcing(("alpha", "s"), _arctan_f, _arctan_fp, _arctan_F, _arctan_G,
+                        flux=arctan1d_neumann),
+    "power": Forcing(("sigma",), _power_f, None, _power_F, _power_G, flux=power_neumann),
     "sine_material": Forcing((), _sine_f, _sine_fp, _sine_F, _sine_G),
     "arctan2d": Forcing(("alpha", "s1", "s2"), None, None, None, None, terms=_arctan2d_terms),
 }
@@ -245,39 +277,15 @@ def hat_load_derivs_exact(load: LoadSpec, xl, xr):
     xl = np.asarray(xl, dtype=float)
     xr = np.asarray(xr, dtype=float)
     h = xr - xl
-    if load.family == "power":
-        sg = load.params["sigma"]
-        singular = xl <= _SINGULAR_TOL
-        safe_xl = np.where(singular, 0.5 * (xl + xr), xl)  # placeholder, masked below
-        I_l_s, I_r_s = hat_loads_exact(load, safe_xl, xr)
-        fl = _power_f(sg, safe_xl)
-        fr = _power_f(sg, xr)
-        dF = _power_F(sg, xr) - _power_F(sg, safe_xl)
-        hs = xr - safe_xl
-        dIl_dxl = -fl + I_l_s / hs
-        dIl_dxr = dF / hs - I_l_s / hs
-        dIr_dxl = -dF / hs + I_r_s / hs
-        dIr_dxr = fr - I_r_s / hs
-        zero = np.zeros_like(xl)
-        # recompute the finite rising-hat quantities on the true elements
-        _, I_r = hat_loads_exact(load, xl, xr)
-        dIr_dxr_true = fr - I_r / h
-        return (
-            np.where(singular, zero, dIl_dxl),
-            np.where(singular, zero, dIl_dxr),
-            np.where(singular, zero, dIr_dxl),
-            np.where(singular, dIr_dxr_true, dIr_dxr),
-        )
     F, f = load.bind("F"), load.bind("f")
     I_l, I_r = hat_loads_exact(load, xl, xr)
-    fl = f(xl)
-    fr = f(xr)
-    dF = F(xr) - F(xl)
-    dIl_dxl = -fl + I_l / h
-    dIl_dxr = dF / h - I_l / h
-    dIr_dxl = -dF / h + I_r / h
-    dIr_dxr = fr - I_r / h
-    return dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dF = F(xr) - F(xl)
+        derivs = (-f(xl) + I_l / h, dF / h - I_l / h, -dF / h + I_r / h, f(xr) - I_r / h)
+    if load.family == "power":
+        singular = xl <= _SINGULAR_TOL
+        derivs = tuple(np.where(singular, 0.0, d) for d in derivs[:3]) + derivs[3:]
+    return derivs
 
 
 # ---------------------------------------------------------------------------
@@ -339,118 +347,49 @@ def hat_load_derivs(load: LoadSpec, xl, xr):
 
 
 # ---------------------------------------------------------------------------
-# 2D area loads
+# node load vectors: 1D axes and 2D tensor meshes
 
-# falling (0) or rising (1) 1D hat of each counterclockwise local node
-_X_HAT = np.array([0, 1, 1, 0])
-_Y_HAT = np.array([0, 0, 1, 1])
-
-
-def _tensor(ax, ay):
-    """Element rows (ny*nx, 4) from per-interval hat factors ax (nx, 2), ay (ny, 2)."""
-    return (ay[:, None, _Y_HAT] * ax[None, :, _X_HAT]).reshape(-1, 4)
-
-
-def _axis_loads(fun, nodes, rule):
-    """(falling, rising) hat loads of one factor on every axis interval."""
-    return np.stack(line_hat_loads(fun, nodes[:-1], nodes[1:], rule), axis=1)
-
-
-def _axis_load_derivs(fun, fun_prime, nodes, rule):
-    """_axis_loads, and the same differentiated by each interval's left
-    and right node, from one evaluation of the factor."""
-    values, (dl_dl, dl_dr, dr_dl, dr_dr) = line_hat_load_derivs(
-        fun, fun_prime, nodes[:-1], nodes[1:], rule)
-    return (np.stack(values, axis=1),
-            np.stack([dl_dl, dr_dl], axis=1), np.stack([dl_dr, dr_dr], axis=1))
+def node_loads(I_l, I_r, flux=0.0):
+    """Node vector of one axis from its per-element (falling, rising) hat
+    loads, with the Neumann flux as a point load at the last node."""
+    return np.append(I_l, flux) + np.insert(I_r, 0, 0.0)
 
 
 def area_loads(load: LoadSpec, xs, ys):
     """Bilinear hat loads over the tensor mesh on axis nodes xs, ys.
 
-    Returns shape (n_elements, 4), elements row by row from the bottom
-    and local nodes counterclockwise from the lower-left corner.
-    Constant forcing is integrated in closed form.  A separable forcing
+    Returns the load vector over all nodes, x fastest, Neumann edge
+    fluxes at x = xs[-1] and y = ys[-1] included.  A separable forcing
     sum_k fx_k(x) fy_k(y) under the tensor Gauss-Legendre rule factors
-    into 1D hat loads, so each factor is integrated once per axis
-    interval and the element loads are their products.
+    into 1D hat loads, so each term's load vector is the outer product
+    of its two axes' node vectors.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if load.family == "constant":
-        c = load.params["value"]
-        hx, hy = (h.ravel() for h in np.meshgrid(np.diff(xs), np.diff(ys)))
-        quarter = 0.25 * c * hx * hy
-        return np.repeat(quarter[:, None], 4, axis=1)
     rule = load.rule()
-    return sum(_tensor(_axis_loads(fx, xs, rule), _axis_loads(fy, ys, rule))
-               for (fx, _), (fy, _) in load.bind("terms")())
+
+    def axis(fun, flux, nodes):
+        return node_loads(*line_hat_loads(fun, nodes[:-1], nodes[1:], rule), flux)
+
+    return sum(np.outer(axis(fy, gy, ys), axis(fx, gx, xs)).ravel()
+               for (fx, _, gx), (fy, _, gy) in load.bind("terms")())
 
 
 def area_load_derivs(load: LoadSpec, xs, ys):
-    """Derivatives of area_loads with respect to each element's (xl, xr, yb, yt).
+    """The per-axis pieces of area_loads and their node derivatives.
 
-    Returns four arrays of shape (n_elements, 4).
+    Returns one ((lx, dx), (ly, dy)) pair per term: each axis factor's
+    node vector l, as area_loads forms it, and the endpoint derivatives
+    d = (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) of its per-element hat
+    loads, all from one evaluation of the factor per axis.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if load.family == "constant":
-        c = load.params["value"]
-        hx, hy = (h.ravel() for h in np.meshgrid(np.diff(xs), np.diff(ys)))
-        d_hx = np.repeat((0.25 * c * hy)[:, None], 4, axis=1)
-        d_hy = np.repeat((0.25 * c * hx)[:, None], 4, axis=1)
-        return -d_hx, d_hx, -d_hy, d_hy
     rule = load.rule()
-    d_dxl = d_dxr = d_dyb = d_dyt = 0.0
-    for (fx, fxp), (fy, fyp) in load.bind("terms")():
-        ax, dax_l, dax_r = _axis_load_derivs(fx, fxp, xs, rule)
-        ay, day_b, day_t = _axis_load_derivs(fy, fyp, ys, rule)
-        d_dxl = d_dxl + _tensor(dax_l, ay)
-        d_dxr = d_dxr + _tensor(dax_r, ay)
-        d_dyb = d_dyb + _tensor(ax, day_b)
-        d_dyt = d_dyt + _tensor(ax, day_t)
-    return d_dxl, d_dxr, d_dyb, d_dyt
 
+    def axis(fun, fun_prime, flux, nodes):
+        values, derivs = line_hat_load_derivs(fun, fun_prime, nodes[:-1], nodes[1:], rule)
+        return node_loads(*values, flux), derivs
 
-# ---------------------------------------------------------------------------
-# Neumann boundary data of the manufactured solutions
-
-def arctan1d_neumann(alpha, s):
-    """u'(1) for the arctan sigmoid solution."""
-    return alpha / (1.0 + alpha**2 * (1.0 - s) ** 2)
-
-
-def power_neumann(sigma):
-    """u'(1) = sigma for u = x^sigma."""
-    return float(sigma)
-
-
-def apply_neumann_endpoint(rhs, node_index, g_value):
-    """Add the 1D endpoint term g * v(endpoint) = g to one load entry."""
-    rhs[node_index] += g_value
-    return rhs
-
-
-def arctan2d_edge_fluxes(alpha, s1, s2):
-    """Manufactured Neumann fluxes on the right (x=1) and top (y=1) edges.
-
-    Returns (g_right, g_right', g_top, g_top') as callables of the edge
-    coordinate.
-    """
-    u1p_at_1 = _ujp(alpha, s1, 1.0)
-    u2p_at_1 = _ujp(alpha, s2, 1.0)
-
-    def g_right(y):
-        return u1p_at_1 * _uj(alpha, s2, y)
-
-    def g_right_prime(y):
-        return u1p_at_1 * _ujp(alpha, s2, y)
-
-    def g_top(x):
-        return u2p_at_1 * _uj(alpha, s1, x)
-
-    def g_top_prime(x):
-        return u2p_at_1 * _ujp(alpha, s1, x)
-
-    return g_right, g_right_prime, g_top, g_top_prime
+    return [(axis(*fx, xs), axis(*fy, ys)) for fx, fy in load.bind("terms")()]
 
 
 # ---------------------------------------------------------------------------

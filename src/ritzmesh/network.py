@@ -13,6 +13,9 @@ import numpy as np
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3")
 
+#: widths of the two hidden tanh layers
+HIDDEN = (10, 10)
+
 
 @dataclass
 class MlpParams:
@@ -37,11 +40,11 @@ class MlpParams:
         return MlpParams(*(a.copy() for a in self.arrays()))
 
 
-def lecun_init(n_inputs, n_outputs, hidden=(10, 10), seed=0) -> MlpParams:
+def lecun_init(n_inputs, n_outputs, seed=0) -> MlpParams:
     """Weights ~ Normal(0, 1/fan_in), zero biases; deterministic per seed."""
     if n_inputs < 1 or n_outputs < 2:
         raise ValueError("need n_inputs >= 1 and n_outputs >= 2")
-    h1, h2 = hidden
+    h1, h2 = HIDDEN
     rng = np.random.default_rng(seed)
     return MlpParams(
         W1=rng.normal(0.0, 1.0 / np.sqrt(n_inputs), size=(h1, n_inputs)),

@@ -30,8 +30,7 @@ class Evaluation:
 
 def evaluate_mesh(problem, mesh) -> Evaluation:
     labeling = label_dirichlet(mesh, problem.boundary)
-    system = assemble_system(mesh, labeling, problem.material, problem.load,
-                             neumann=problem.neumann)
+    system = assemble_system(mesh, labeling, problem.material, problem.load)
     report = solve_spd(system)
     return Evaluation(mesh=mesh, labeling=labeling, system=system, report=report,
                       J=ritz_energy(system, report.c))
@@ -41,8 +40,8 @@ def evaluate(problem, theta=None) -> Evaluation:
     return evaluate_mesh(problem, problem.build_mesh(theta))
 
 
-def evaluate_uniform(problem, n_elements=None) -> Evaluation:
-    return evaluate_mesh(problem, problem.uniform_mesh(n_elements))
+def evaluate_uniform(problem) -> Evaluation:
+    return evaluate_mesh(problem, problem.uniform_mesh())
 
 
 def evaluate_with_gradient(problem, theta=None, scale=1.0):

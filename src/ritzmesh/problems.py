@@ -9,9 +9,10 @@ Five families, each a Poisson-type boundary-value problem on (0,1) or
     arctan2d       tensor-product arctan fronts on the unit square
     lshape         -div(sigma grad u) = 1 on an L-shape via masking
 
-A ProblemSpec bundles the domain, boundary spec, material field, load,
-Neumann data, and the per-axis fixed nodes; factories below fill in the
-manufactured data for each family.
+A ProblemSpec bundles the domain, boundary spec, material field, load
+and the per-axis fixed nodes; factories below fill in the manufactured
+data for each family.  Neumann data belong to the load: its family's
+flux at the right end b of each axis.
 """
 
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import loads as ld
-from .assembly import MaterialField, NeumannSpec
+from .assembly import MaterialField
 from .errors import ConfigurationError
 from .mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d, build_tensor_mesh_2d
 
@@ -33,7 +34,6 @@ class ProblemSpec:
     boundary: str
     load: ld.LoadSpec
     material: MaterialField
-    neumann: NeumannSpec | None = None
     fixed_nodes: tuple = ()          # per-axis tuples in 2D
     domain: tuple = ((0.0, 1.0),)    # per-axis (a, b)
 
@@ -85,9 +85,9 @@ class ProblemSpec:
             return build_mesh_1d(self.mesh_params(theta))
         return build_tensor_mesh_2d(*self.mesh_params(theta))
 
-    def uniform_mesh(self, n_elements=None):
-        """The equispaced reference mesh of the same (or given) size."""
-        n = self.n_elements if n_elements is None else n_elements
+    def uniform_mesh(self):
+        """The equispaced reference mesh of the same size."""
+        n = self.n_elements
         axes = []
         for axis in range(self.dim):
             a, b = self.domain[axis if self.dim == 2 else 0]
@@ -114,7 +114,6 @@ def arctan1d(alpha=10.0, s=0.5, n_elements=32, mode="exact", order=2):
         family="arctan1d", dim=1, sigma=(float(alpha), float(s)),
         n_elements=int(n_elements), boundary="left", load=load,
         material=MaterialField(),
-        neumann=NeumannSpec(endpoint_value=ld.arctan1d_neumann(alpha, s)),
     )
 
 
@@ -125,7 +124,6 @@ def power1d(sigma=0.7, n_elements=32):
         family="power1d", dim=1, sigma=(float(sigma),),
         n_elements=int(n_elements), boundary="left", load=load,
         material=MaterialField(),
-        neumann=NeumannSpec(endpoint_value=ld.power_neumann(sigma)),
     )
 
 
@@ -141,19 +139,18 @@ def twomaterial1d(sigma=10.0, n_elements=32):
 
 
 def arctan2d(alpha=10.0, s1=0.05, s2=0.05, n_elements=32, order=50, mode="quadrature"):
-    """Tensor-product sigmoid fronts; area and edge loads by quadrature."""
+    """Tensor-product sigmoid fronts, Dirichlet on the left and bottom,
+    manufactured Neumann fluxes on the right and top; loads by quadrature."""
     if mode != "quadrature":
         raise ConfigurationError("arctan2d loads are quadrature-only")
     load = ld.LoadSpec(
         "arctan2d", {"alpha": float(alpha), "s1": float(s1), "s2": float(s2)},
         mode="quadrature", order=order,
     )
-    fluxes = ld.arctan2d_edge_fluxes(alpha, s1, s2)
     return ProblemSpec(
         family="arctan2d", dim=2, sigma=(float(alpha), float(s1), float(s2)),
         n_elements=int(n_elements), boundary="left-bottom", load=load,
         material=MaterialField(),
-        neumann=NeumannSpec(edge_fluxes=fluxes, edge_order=order),
         fixed_nodes=((), ()),
         domain=((0.0, 1.0), (0.0, 1.0)),
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ritzmesh
+from ritzmesh import loads, pipeline, problems
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted(path for folder in ("demos", "scripts", "bench")
@@ -64,3 +65,29 @@ def test_package_all_imports():
     namespace = {}
     exec("from ritzmesh import *", namespace)
     assert set(ritzmesh.__all__) <= namespace.keys()
+
+
+LOAD_SPANS = ("hat_loads", "hat_load_derivs", "area_loads", "area_load_derivs")
+
+
+@pytest.mark.parametrize("problem,called", [
+    (problems.arctan1d(10.0, 0.5, n_elements=8), ("hat_loads", "hat_load_derivs")),
+    (problems.arctan2d(10.0, 0.3, 0.6, n_elements=4, order=8),
+     ("area_loads", "area_load_derivs")),
+    (problems.lshape(1.7, 0.4, n_elements=4), ("area_loads", "area_load_derivs")),
+], ids=["arctan1d", "arctan2d", "lshape"])
+def test_benchmark_load_spans_are_called(monkeypatch, problem, called):
+    # the benchmark times the loads by wrapping these module attributes;
+    # a call route that bypasses them would leave its spans at zero
+    counts = dict.fromkeys(LOAD_SPANS, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in LOAD_SPANS:
+        monkeypatch.setattr(loads, name, counting(name, getattr(loads, name)))
+    pipeline.evaluate_with_gradient(problem, None)
+    assert counts == {name: int(name in called) for name in LOAD_SPANS}

@@ -16,6 +16,7 @@ from ritzmesh.assembly import (
     assembly_gradient_contraction,
     label_dirichlet,
 )
+from ritzmesh import loads as ld
 from ritzmesh.energy import ritz_energy
 from ritzmesh.errors import ConfigurationError
 from ritzmesh.mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d
@@ -186,8 +187,8 @@ class TestAssembly:
 
     def test_nested_refinement_lowers_energy(self):
         for p in (arctan1d(10.0, 0.5, 4), power1d(0.7, 4), twomaterial1d(10.0, 4)):
-            J_coarse = evaluate_uniform(p, 4).J
-            J_fine = evaluate_uniform(p, 8).J
+            J_coarse = evaluate_uniform(p.with_n(4)).J
+            J_fine = evaluate_uniform(p.with_n(8)).J
             assert J_fine <= J_coarse + 1e-14
 
     def test_energy_identity_at_solution(self):
@@ -207,8 +208,7 @@ class TestGradientContraction:
             else:
                 m = TensorMesh2D(mesh_x=Mesh1D(nodes=nodes_x, record=None),
                                  mesh_y=Mesh1D(nodes=nodes_y, record=None))
-            system = assemble_system(m, labeling, problem.material, problem.load,
-                                     neumann=problem.neumann)
+            system = assemble_system(m, labeling, problem.material, problem.load)
             return ritz_energy(system, c_free)
 
         grads = {}
@@ -238,8 +238,7 @@ class TestGradientContraction:
         theta = rng.normal(0, 0.3, problem.theta_size)
         ev = evaluate(problem, theta)
         grad = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, problem.material, problem.load, ev.c,
-            neumann=problem.neumann)
+            ev.mesh, ev.labeling, problem.material, problem.load, ev.c)
         # perturbing a fixed interface node changes the problem, not the mesh
         movable = [i for i in range(1, ev.mesh.nodes.size - 1)
                    if ev.mesh.record.adaptive[i]]
@@ -248,30 +247,31 @@ class TestGradientContraction:
             assert abs(grad[i] - v) <= 1e-6 * max(1.0, abs(v)), i
 
     def test_matches_frozen_c_fd_2d(self):
-        problem = lshape(2.0, 0.7, n_elements=6)
-        rng = np.random.default_rng(18)
-        theta = rng.normal(0, 0.2, problem.theta_size)
-        ev = evaluate(problem, theta)
-        gx, gy = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, problem.material, problem.load, ev.c,
-            neumann=problem.neumann)
-        movable_x = [i for i in range(1, ev.mesh.mesh_x.nodes.size - 1)
-                     if ev.mesh.mesh_x.record.adaptive[i]]
-        movable_y = [i for i in range(1, ev.mesh.mesh_y.nodes.size - 1)
-                     if ev.mesh.mesh_y.record.adaptive[i]]
-        fdx = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable_x, axis=0)
-        fdy = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable_y, axis=1)
-        for i, v in fdx.items():
-            assert abs(gx[i] - v) <= 1e-6 * max(1.0, abs(v))
-        for i, v in fdy.items():
-            assert abs(gy[i] - v) <= 1e-6 * max(1.0, abs(v))
+        # arctan2d's Neumann edges at x = 1 and y = 1 enter as point loads at b
+        for problem in (lshape(2.0, 0.7, n_elements=6),
+                        arctan2d(10.0, 0.3, 0.6, n_elements=6, order=8)):
+            rng = np.random.default_rng(18)
+            theta = rng.normal(0, 0.2, problem.theta_size)
+            ev = evaluate(problem, theta)
+            gx, gy = assembly_gradient_contraction(
+                ev.mesh, ev.labeling, problem.material, problem.load, ev.c)
+            movable_x = [i for i in range(1, ev.mesh.mesh_x.nodes.size - 1)
+                         if ev.mesh.mesh_x.record.adaptive[i]]
+            movable_y = [i for i in range(1, ev.mesh.mesh_y.nodes.size - 1)
+                         if ev.mesh.mesh_y.record.adaptive[i]]
+            fdx = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable_x, axis=0)
+            fdy = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable_y, axis=1)
+            for i, v in fdx.items():
+                assert abs(gx[i] - v) <= 1e-6 * max(1.0, abs(v)), (problem.family, i)
+            for i, v in fdy.items():
+                assert abs(gy[i] - v) <= 1e-6 * max(1.0, abs(v)), (problem.family, i)
 
     def test_zero_data_zero_gradient(self):
         p = constant1d(value=0.0, n_elements=6)
         ev = evaluate_uniform(p)
         np.testing.assert_array_equal(ev.c, 0.0)
         grad = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, p.material, p.load, ev.c, neumann=p.neumann)
+            ev.mesh, ev.labeling, p.material, p.load, ev.c)
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_symmetric_problem_antisymmetric_gradient(self):
@@ -281,9 +281,73 @@ class TestGradientContraction:
         p = arctan1d(10.0, 0.5, n_elements=8)
         ev = evaluate_uniform(p)
         grad = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, p.material, p.load, ev.c, neumann=p.neumann)
+            ev.mesh, ev.labeling, p.material, p.load, ev.c)
         interior = grad[1:-1]
         np.testing.assert_allclose(interior, -interior[::-1], atol=1e-10)
+
+
+def _reference_loads_1d(problem, mesh, labeling):
+    """Per-element hat loads scattered with np.add.at into the free nodes,
+    then the Neumann flux added to the last node: the 1D load assembly
+    that node vectors replaced."""
+    x = mesh.nodes
+    I_l, I_r = ld.hat_loads(problem.load, x[:-1], x[1:])
+    e = np.arange(mesh.n_elements)
+    conn = np.stack([e, e + 1], axis=1)
+    vals = np.stack([I_l, I_r], axis=1)
+    free_mask = np.zeros(labeling.n_nodes, dtype=bool)
+    free_mask[labeling.free] = True
+    keep = free_mask[conn]
+    rhs = np.zeros(labeling.n_nodes)
+    np.add.at(rhs, conn[keep], vals[keep])
+    flux = {"arctan1d": ld.arctan1d_neumann, "power1d": ld.power_neumann}.get(problem.family)
+    if flux is not None:
+        rhs[-1] += flux(*problem.sigma)
+    return rhs[labeling.free]
+
+
+def _reference_contraction_1d(problem, mesh, labeling, c_free):
+    """The 1D frozen-c gradient with the free-node mask and np.add.at."""
+    c_full = labeling.full_vector(c_free)
+    free_mask = np.zeros(labeling.n_nodes, dtype=bool)
+    free_mask[labeling.free] = True
+    x = mesh.nodes
+    h = mesh.lengths
+    coeff = problem.material.value_at_1d(0.5 * (x[:-1] + x[1:]))
+    dc = c_full[1:] - c_full[:-1]
+    s = -coeff * dc * dc / (2.0 * h * h)
+    grad = np.zeros_like(x)
+    np.add.at(grad, np.arange(h.size), -s)
+    np.add.at(grad, np.arange(h.size) + 1, s)
+    dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr = ld.hat_load_derivs(problem.load, x[:-1], x[1:])
+    cl = np.where(free_mask[:-1], c_full[:-1], 0.0)
+    cr = np.where(free_mask[1:], c_full[1:], 0.0)
+    np.add.at(grad, np.arange(h.size), -(cl * dIl_dxl + cr * dIr_dxl))
+    np.add.at(grad, np.arange(h.size) + 1, -(cl * dIl_dxr + cr * dIr_dxr))
+    return grad
+
+
+class TestNodeLoads1D:
+    @pytest.mark.parametrize("make", [
+        lambda n: arctan1d(12.0, 0.4, n_elements=n),
+        lambda n: arctan1d(12.0, 0.4, n_elements=n, mode="quadrature", order=5),
+        lambda n: power1d(0.7, n_elements=n),
+        lambda n: twomaterial1d(10.0, n_elements=n),
+        lambda n: constant1d(1.7, n_elements=n),
+    ], ids=["arctan1d", "arctan1d-quadrature", "power1d", "twomaterial1d", "constant1d"])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_bitwise_element_scatter(self, make, n):
+        problem = make(n)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            ev = evaluate(problem, rng.normal(0, 0.3, problem.theta_size))
+            np.testing.assert_array_equal(
+                ev.system.ell, _reference_loads_1d(problem, ev.mesh, ev.labeling))
+            for c in (ev.c, rng.normal(size=ev.c.size)):
+                grad = assembly_gradient_contraction(
+                    ev.mesh, ev.labeling, problem.material, problem.load, c)
+                np.testing.assert_array_equal(
+                    grad, _reference_contraction_1d(problem, ev.mesh, ev.labeling, c))
 
 
 def _reference_stiffness(mesh, labeling, material):

@@ -198,10 +198,17 @@ class TestExitCodes:
         ("landscape", {"quad_orders": 2}),
         ("solve", {"problem": "arctan1d", "N": 0}),
         ("solve", {"problem": "arctan1d", "N": -4}),
+        ("adapt", {"problem": "arctan1d", "N": 8, "iterations": 2.7}),
+        ("adapt", {"problem": "arctan1d", "N": 8, "iterations": True}),
+        ("solve", {"problem": "arctan1d", "N": 2.5}),
+        ("solve", {"problem": "arctan1d", "N": True}),
+        ("landscape", {"sweep": {"lo": "nan"}}),
+        ("landscape", {"sweep": {"hi": "inf"}}),
     ], ids=["iterations-x", "iterations-negative", "epochs-x", "batch-0", "monitor_every-0",
             "N_list-entry", "N_list-scalar", "sweep-count-x", "sweep-list", "movable_index-99",
             "landscape-N-0", "quad_orders-empty", "quad_orders-scalar", "solve-N-0",
-            "solve-N-negative"])
+            "solve-N-negative", "iterations-fraction", "iterations-bool", "solve-N-fraction",
+            "solve-N-bool", "sweep-lo-nan", "sweep-hi-inf"])
     def test_bad_config_value(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -25,7 +25,7 @@ class TestRegistry:
         p = registry()[0]
         assert p.sigma == (10.0, 0.5)
         assert p.boundary == "left"
-        assert abs(p.neumann.endpoint_value - 10.0 / 26.0) < 1e-15
+        assert abs(p.load.bind("flux")() - 10.0 / 26.0) < 1e-15
 
     def test_twomaterial_defaults(self):
         p = make_problem("twomaterial1d")

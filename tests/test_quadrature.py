@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ritzmesh.assembly import _load_contraction
 from ritzmesh.errors import ConfigurationError
 from ritzmesh.loads import (
     LoadSpec,
@@ -97,10 +98,11 @@ class TestFamilyTable:
                                    rtol=1e-14)
         power = LoadSpec("power", {"sigma": 0.7})
         np.testing.assert_allclose(power.bind("G")(x), 0.3 * x**0.7, rtol=1e-14)
-        (fx, _), (fy, _) = LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6},
-                                    mode="quadrature").bind("terms")()[0]
+        (fx, _, gx), (fy, _, gy) = LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6},
+                                            mode="quadrature").bind("terms")()[0]
         np.testing.assert_allclose(fx(x), arctan.bind("f")(x), rtol=1e-14)
         assert fy(0.6) == np.arctan(3.0 * 0.6)
+        assert gx == pytest.approx(3.0 / (1.0 + 9.0 * 0.36), rel=1e-14) and gy == 0.0
 
     @pytest.mark.parametrize("load,name", [
         (LoadSpec("power", {"sigma": 0.7}), "fp"),
@@ -216,6 +218,10 @@ class TestQuadratureLoads:
         got60 = area_loads(LoadSpec("arctan2d", params, mode="quadrature", order=60), xs, ys)
         assert np.max(np.abs(got50 - got60)) / np.max(np.abs(got60)) < 1e-9
 
+    def test_bad_order_rejected_in_exact_mode(self):
+        with pytest.raises(ConfigurationError):
+            LoadSpec("constant", {"value": 1.0}, order=0)
+
     def test_power_quadrature_forbidden(self):
         with pytest.raises(ConfigurationError):
             LoadSpec("power", {"sigma": 0.7}, mode="quadrature", order=8)
@@ -279,6 +285,68 @@ def _tensor_oracle(load, xs, ys):
     return loads, derivs
 
 
+def _edge_oracle(g, gp, nodes, rule):
+    """Line hat loads of a flux g along one edge and their endpoint
+    derivatives, straight from the mapped rule."""
+    lam, w = 0.5 * (rule.points + 1.0), rule.weights
+    t, wt = rule.mapped(nodes[:-1], nodes[1:])
+    half = 0.5 * (nodes[1:] - nodes[:-1])[:, None]
+    out = []
+    for phi in (1 - lam, lam):
+        out.append((np.sum(wt * g(t) * phi, axis=1),
+                    np.sum(w * phi * (-0.5 * g(t) + half * gp(t) * (1 - lam)), axis=1),
+                    np.sum(w * phi * (0.5 * g(t) + half * gp(t) * lam), axis=1)))
+    return out
+
+
+def _scattered_oracle(load, xs, ys, c):
+    """The load vector and the gradient of ell . c over the axis nodes,
+    assembled the element way: the oracle's (E, 4) arrays scattered
+    with np.add.at, plus the Neumann integrals along the right
+    (x = xs[-1]) and top (y = ys[-1]) edges."""
+    a, s1, s2 = (load.params[k] for k in ("alpha", "s1", "s2"))
+    nx, ny = xs.size - 1, ys.size - 1
+    ey, ex = (i.ravel() for i in np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij"))
+    ll = ey * (nx + 1) + ex
+    conn = np.stack([ll, ll + 1, ll + nx + 2, ll + nx + 1], axis=1)
+    loads, (d_dxl, d_dxr, d_dyb, d_dyt) = _tensor_oracle(load, xs, ys)
+    ell = np.zeros((nx + 1) * (ny + 1))
+    np.add.at(ell, conn, loads)
+    C = c[conn]
+    gx, gy = np.zeros(nx + 1), np.zeros(ny + 1)
+    np.add.at(gx, ex, np.einsum("ei,ei->e", C, d_dxl))
+    np.add.at(gx, ex + 1, np.einsum("ei,ei->e", C, d_dxr))
+    np.add.at(gy, ey, np.einsum("ei,ei->e", C, d_dyb))
+    np.add.at(gy, ey + 1, np.einsum("ei,ei->e", C, d_dyt))
+    rule = gauss_legendre(load.order)
+    edges = (
+        # right edge: u1'(1) u2(y) along y, on node column nx
+        (lambda t: _up(a, s1, 1.0) * _u(a, s2, t), lambda t: _up(a, s1, 1.0) * _up(a, s2, t),
+         ys, np.arange(ny + 1) * (nx + 1) + nx, gy),
+        # top edge: u1(x) u2'(1) along x, on node row ny
+        (lambda t: _up(a, s2, 1.0) * _u(a, s1, t), lambda t: _up(a, s2, 1.0) * _up(a, s1, t),
+         xs, ny * (nx + 1) + np.arange(nx + 1), gx),
+    )
+    for g, gp, nodes, idx, grad in edges:
+        for shift, (I, d_lo, d_hi) in enumerate(_edge_oracle(g, gp, nodes, rule)):
+            node = idx[shift:idx.size - 1 + shift]
+            np.add.at(ell, node, I)
+            np.add.at(grad, np.arange(nodes.size - 1), c[node] * d_lo)
+            np.add.at(grad, np.arange(nodes.size - 1) + 1, c[node] * d_hi)
+    return ell, gx, gy
+
+
+def _load_gradient(load, xs, ys, c):
+    """Gradient of ell . c over the axis nodes from area_load_derivs, by
+    the contraction that the assembly gradient uses."""
+    gx, gy = np.zeros_like(xs), np.zeros_like(ys)
+    C = c.reshape(ys.size, xs.size)
+    for (lx, dx), (ly, dy) in area_load_derivs(load, xs, ys):
+        _load_contraction(gx, C.T @ ly, dx)
+        _load_contraction(gy, C @ lx, dy)
+    return -gx, -gy
+
+
 def _random_axis(rng, n):
     return np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, size=n))])
 
@@ -294,10 +362,10 @@ class TestSeparableAreaLoads:
             xs = _random_axis(rng, 7)
             ys = _random_axis(rng, 5)
             xs, ys = xs / xs[-1], ys / ys[-1]
-            ref_loads, ref_derivs = _tensor_oracle(load, xs, ys)
-            got = (area_loads(load, xs, ys),) + area_load_derivs(load, xs, ys)
-            for g, r in zip(got, (ref_loads,) + ref_derivs):
-                assert g.shape == (35, 4)
+            c = rng.normal(size=48)
+            got = (area_loads(load, xs, ys),) + _load_gradient(load, xs, ys, c)
+            for g, r in zip(got, _scattered_oracle(load, xs, ys, c)):
+                assert g.shape == r.shape
                 assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
 
     @pytest.mark.parametrize("load", [
@@ -305,29 +373,37 @@ class TestSeparableAreaLoads:
         LoadSpec("constant", {"value": 1.7}),
     ])
     def test_node_derivatives_match_fd(self, load):
-        # moving axis node j moves the right end of the elements left of
-        # it and the left end of those right of it
+        # central differences of ell . c in each axis node
         rng = np.random.default_rng(22)
         xs = np.sort(rng.uniform(0.05, 0.95, size=5))
         ys = np.sort(rng.uniform(0.05, 0.95, size=4))
-        ey, ex = (i.ravel() for i in np.meshgrid(np.arange(ys.size - 1),
-                                                 np.arange(xs.size - 1), indexing="ij"))
-        d_dxl, d_dxr, d_dyb, d_dyt = area_load_derivs(load, xs, ys)
+        c = rng.normal(size=20)
+        got = _load_gradient(load, xs, ys, c)
         step = 1e-7
-        for axis, nodes, e_of, d_lo, d_hi in ((0, xs, ex, d_dxl, d_dxr),
-                                              (1, ys, ey, d_dyb, d_dyt)):
+        for axis, nodes in enumerate((xs, ys)):
+            fd = np.zeros_like(nodes)
             for j in range(nodes.size):
                 up, down = nodes.copy(), nodes.copy()
                 up[j] += step
                 down[j] -= step
                 if axis == 0:
-                    fd = (area_loads(load, up, ys) - area_loads(load, down, ys)) / (2 * step)
+                    diff = area_loads(load, up, ys) - area_loads(load, down, ys)
                 else:
-                    fd = (area_loads(load, xs, up) - area_loads(load, xs, down)) / (2 * step)
-                want = (np.where((e_of == j)[:, None], d_lo, 0.0)
-                        + np.where((e_of + 1 == j)[:, None], d_hi, 0.0))
-                np.testing.assert_allclose(fd, want, rtol=2e-6, atol=1e-8)
+                    diff = area_loads(load, xs, up) - area_loads(load, xs, down)
+                fd[j] = diff @ c / (2 * step)
+            np.testing.assert_allclose(got[axis], fd, rtol=2e-6, atol=1e-8)
 
+    def test_constant_is_exact(self):
+        # c times bilinear hats: c hx hy / 4 per element corner, for any rule
+        rng = np.random.default_rng(24)
+        xs = np.sort(rng.uniform(0.0, 1.0, size=6))
+        ys = np.sort(rng.uniform(0.0, 1.0, size=4))
+        hx, hy = np.diff(xs), np.diff(ys)
+        per_axis = [np.append(h, 0.0) + np.insert(h, 0, 0.0) for h in (hx, hy)]
+        want = 0.25 * 1.7 * np.outer(per_axis[1], per_axis[0]).ravel()
+        for order in (1, 2, 7):
+            got = area_loads(LoadSpec("constant", {"value": 1.7}, order=order), xs, ys)
+            np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_derivs_form_values_from_one_evaluation(self, monkeypatch):
         # line_hat_load_derivs returns the loads of line_hat_loads bitwise,
@@ -377,6 +453,45 @@ class TestLoadDerivatives:
             np.testing.assert_allclose(got, ref, rtol=2e-6, atol=1e-8)
 
 
+def _power_derivs_oracle(load, xl, xr):
+    """The power family's endpoint derivatives as a separate branch:
+    each derivative formed on a placeholder element where xl sits at the
+    singularity, then masked, and the rising-hat load's xr derivative
+    formed again on the true element."""
+    from ritzmesh.loads import _SINGULAR_TOL, _power_F, _power_f
+    sg = load.params["sigma"]
+    h = xr - xl
+    singular = xl <= _SINGULAR_TOL
+    safe_xl = np.where(singular, 0.5 * (xl + xr), xl)
+    I_l_s, I_r_s = hat_loads_exact(load, safe_xl, xr)
+    fl = _power_f(sg, safe_xl)
+    fr = _power_f(sg, xr)
+    dF = _power_F(sg, xr) - _power_F(sg, safe_xl)
+    hs = xr - safe_xl
+    dIl_dxl = -fl + I_l_s / hs
+    dIl_dxr = dF / hs - I_l_s / hs
+    dIr_dxl = -dF / hs + I_r_s / hs
+    dIr_dxr = fr - I_r_s / hs
+    zero = np.zeros_like(xl)
+    _, I_r = hat_loads_exact(load, xl, xr)
+    dIr_dxr_true = fr - I_r / h
+    return (np.where(singular, zero, dIl_dxl), np.where(singular, zero, dIl_dxr),
+            np.where(singular, zero, dIr_dxl), np.where(singular, dIr_dxr_true, dIr_dxr))
+
+
+class TestPowerDerivatives:
+    def test_generic_formula_is_bitwise_the_masked_branch(self):
+        rng = np.random.default_rng(35)
+        for sg in np.linspace(0.51, 5.0, 9):
+            load = LoadSpec("power", {"sigma": sg})
+            for _ in range(50):
+                x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, size=8)), [1.0]])
+                got = hat_load_derivs(load, x[:-1], x[1:])
+                for g, want in zip(got, _power_derivs_oracle(load, x[:-1], x[1:])):
+                    np.testing.assert_array_equal(g, want)
+                    assert np.all(np.isfinite(g))
+
+
 class TestNeumannData:
     def test_arctan_flux(self):
         assert abs(arctan1d_neumann(10.0, 0.5) - 10.0 / 26.0) < 1e-15
@@ -384,11 +499,12 @@ class TestNeumannData:
     def test_power_flux(self):
         assert power_neumann(0.7) == 0.7
 
-    def test_zero_flux_changes_nothing(self):
-        from ritzmesh.loads import apply_neumann_endpoint
-        rhs = np.array([1.0, 2.0])
-        apply_neumann_endpoint(rhs, 1, 0.0)
-        np.testing.assert_array_equal(rhs, [1.0, 2.0])
+    def test_families_carry_their_flux(self):
+        assert LoadSpec("arctan1d", {"alpha": 10.0, "s": 0.5}).bind("flux")() == \
+            arctan1d_neumann(10.0, 0.5)
+        assert LoadSpec("power", {"sigma": 0.7}).bind("flux")() == 0.7
+        assert LoadSpec("sine_material", {}).bind("flux")() == 0.0
+        assert LoadSpec("constant", {"value": 2.0}).bind("flux")() == 0.0
 
 
 class TestExactEnergies:
