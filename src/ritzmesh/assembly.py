@@ -82,9 +82,9 @@ class MaterialField:
 
     def __post_init__(self):
         for _, value in self.regions:
-            if not value > 0:
+            if not np.all(np.asarray(value) > 0):
                 raise ValueError("material values must be strictly positive")
-        if not self.default > 0:
+        if not np.all(np.asarray(self.default) > 0):
             raise ValueError("material default must be strictly positive")
 
     def value_at_1d(self, x):
@@ -108,6 +108,18 @@ class MaterialField:
             else:
                 coords.update(region[2 * axis: 2 * axis + 2])
         return sorted(coords)
+
+
+def stack_materials(materials):
+    """One MaterialField for K fields with the same regions whose values
+    are (K, 1) columns, so a lookup on (K, E) points takes row k's values."""
+    def column(values):
+        return np.reshape(values, (-1, 1))
+
+    return MaterialField(
+        regions=tuple((region, column([m.regions[i][1] for m in materials]))
+                      for i, (region, _) in enumerate(materials[0].regions)),
+        default=column([m.default for m in materials]))
 
 
 @dataclass(frozen=True)
@@ -244,27 +256,55 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     _check_material_resolved(mesh, material)
     if isinstance(mesh, Mesh1D):
         grid_shape = (mesh.n_elements,)
-        K = _element_stiffness_1d(mesh, material)
+        K = _element_stiffness_1d(mesh.nodes, material)
         x = mesh.nodes
         rhs = ld.node_loads(*ld.hat_loads(load, x[:-1], x[1:]), load.bind("flux")())
     else:
         grid_shape = (mesh.mesh_x.n_elements, mesh.mesh_y.n_elements)
         K = _element_stiffness_2d(mesh, material)
         rhs = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
-    free = np.asarray(labeling.free, dtype=np.int64)
-    indptr, indices, sel, slot = _scatter_pattern(grid_shape, free.tobytes())
-    data = np.bincount(slot, weights=K.ravel()[sel], minlength=indices.size)
-    B = sp.csr_matrix((data, indices, indptr), shape=(free.size, free.size))
+    indptr, indices, data = _scatter_stiffness(K, grid_shape, labeling.free)
+    B = sp.csr_matrix((data, indices, indptr), shape=(labeling.n_free, labeling.n_free))
     B.has_canonical_format = True
     return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling)
 
 
-def _element_stiffness_1d(mesh: Mesh1D, material: MaterialField):
-    """Element matrices (E, 2, 2): coeff/h [[1, -1], [-1, 1]]."""
-    x = mesh.nodes
-    mid = 0.5 * (x[:-1] + x[1:])
-    k = material.value_at_1d(mid) / mesh.lengths
-    return k[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+def stiffness_batch_1d(x, boundary, material: MaterialField):
+    """Label the meshes on the rows of (K, M) nodes x and assemble their
+    restricted stiffness matrices (material from stack_materials).
+    Returns (rows, labeling, indptr, indices, data) per free set, the
+    (len(rows), nnz) data bitwise assemble_system's B.data per mesh."""
+    groups = {}
+    for i, nodes in enumerate(x):
+        mesh = Mesh1D(nodes=nodes)
+        _check_material_resolved(mesh, material)
+        labeling = label_dirichlet(mesh, boundary)
+        groups.setdefault(labeling.free.tobytes(), (labeling, []))[1].append(i)
+    K = _element_stiffness_1d(x, material)
+    return [(rows, labeling) + _scatter_stiffness(K[rows], (x.shape[-1] - 1,), labeling.free)
+            for labeling, rows in groups.values()]
+
+
+def _scatter_stiffness(K, grid_shape, free):
+    """Sum element matrices into the restricted CSR matrix of the free
+    nodes; returns (indptr, indices, data).  K is (E, k, k) on the element
+    grid grid_shape, or (G, E, k, k) for G meshes sharing the grid and the
+    free set, which gives (G, nnz) data, each row bitwise one mesh's."""
+    free = np.asarray(free, dtype=np.int64)
+    indptr, indices, sel, slot = _scatter_pattern(grid_shape, free.tobytes())
+    lead, nnz = K.shape[:-3], indices.size
+    G = int(np.prod(lead))
+    at = slot + nnz * np.arange(G)[:, None]
+    data = np.bincount(at.ravel(), weights=K.reshape(G, -1)[:, sel].ravel(), minlength=G * nnz)
+    return indptr, indices, data.reshape(lead + (nnz,))
+
+
+def _element_stiffness_1d(x, material: MaterialField):
+    """Element matrices (E, 2, 2): coeff/h [[1, -1], [-1, 1]], on nodes x
+    or on each row of (K, M) nodes."""
+    mid = 0.5 * (x[..., :-1] + x[..., 1:])
+    k = material.value_at_1d(mid) / np.diff(x)
+    return k[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _element_stiffness_2d(mesh: TensorMesh2D, material: MaterialField):
@@ -292,7 +332,7 @@ def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: Materia
     """
     c_full = labeling.full_vector(c_free)
     if isinstance(mesh, Mesh1D):
-        return _contraction_1d(mesh, material, load, c_full)
+        return contraction_1d(mesh.nodes, material, load, c_full)
     return _contraction_2d(mesh, material, load, c_full)
 
 
@@ -301,23 +341,26 @@ def _load_contraction(grad, w, derivs):
     the per-element hat-load derivatives (dIl_dxl, dIl_dxr, dIr_dxl,
     dIr_dxr) of one axis: left element ends first, then right ends."""
     dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr = derivs
-    wl, wr = w[:-1], w[1:]
-    grad[:-1] -= wl * dIl_dxl + wr * dIr_dxl
-    grad[1:] -= wl * dIl_dxr + wr * dIr_dxr
+    wl, wr = w[..., :-1], w[..., 1:]
+    grad[..., :-1] -= wl * dIl_dxl + wr * dIr_dxl
+    grad[..., 1:] -= wl * dIl_dxr + wr * dIr_dxr
 
 
-def _contraction_1d(mesh, material, load, c_full):
-    x = mesh.nodes
-    h = mesh.lengths
-    coeff = material.value_at_1d(0.5 * (x[:-1] + x[1:]))
-    dc = c_full[1:] - c_full[:-1]
+def contraction_1d(x, material, load, c_full, values=None):
+    """The 1D contraction on nodes x with node coefficients c_full, or on
+    each row of (K, M) arrays with a stacked load (loads.stack_loads);
+    values are the hat loads of x when the caller has them."""
+    h = np.diff(x)
+    coeff = material.value_at_1d(0.5 * (x[..., :-1] + x[..., 1:]))
+    dc = c_full[..., 1:] - c_full[..., :-1]
     # stiffness part: d/dh of coeff/(2h) (c_r - c_l)^2
     s = -coeff * dc * dc / (2.0 * h * h)
     grad = np.zeros_like(x)
-    grad[:-1] -= s
-    grad[1:] += s
+    grad[..., :-1] -= s
+    grad[..., 1:] += s
     # load part; c_full is zero at Dirichlet nodes
-    _load_contraction(grad, c_full, ld.hat_load_derivs(load, x[:-1], x[1:]))
+    derivs = ld.hat_load_derivs(load, x[..., :-1], x[..., 1:], values)
+    _load_contraction(grad, c_full, derivs)
     return grad
 
 

@@ -69,9 +69,9 @@ class LoadSpec:
                 raise ConfigurationError(
                     "power loads must be integrated exactly; quadrature misses the singularity"
                 )
-            if not self.params["sigma"] > 0.5:
+            if not np.all(np.asarray(self.params["sigma"]) > 0.5):
                 raise ConfigurationError("power family requires sigma > 0.5")
-        if self.family == "arctan1d" and not self.params["alpha"] > 0:
+        if self.family == "arctan1d" and not np.all(np.asarray(self.params["alpha"]) > 0):
             raise ConfigurationError("arctan1d requires alpha > 0")
         # checked in exact mode too: 2D constant loads use the rule
         if (isinstance(self.order, bool) or not isinstance(self.order, Integral)
@@ -90,6 +90,27 @@ class LoadSpec:
         if fun is None:
             raise ConfigurationError(f"forcing family {self.family!r} has no {name!r}")
         return partial(fun, *(self.params[k] for k in forcing.keys))
+
+
+def stack_loads(loads):
+    """One LoadSpec for K loads of one family, mode and order whose
+    parameters are (K, 1) columns ((K, 1, 1) for quadrature points), so
+    the 1D load functions evaluate (K, E) element arrays row by row.
+    Fluxes stay per load."""
+    first = loads[0]
+    shape = (len(loads), 1) if first.mode == "exact" else (len(loads), 1, 1)
+    params = {key: np.reshape([load.params[key] for load in loads], shape)
+              for key in first.params}
+    return LoadSpec(first.family, params, mode=first.mode, order=first.order)
+
+
+def _param_pow(value, p):
+    """value**p of a parameter: a float, or a (K, 1) column of floats raised
+    one float at a time, since numpy's vector pow can differ from the float
+    one in the last bit and a batch row must match its single sample."""
+    if np.ndim(value) == 0:
+        return value**p
+    return np.array([v**p for v in value.ravel().tolist()]).reshape(np.shape(value))
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +134,13 @@ def _constant_G(c, x):
 
 def _arctan_f(alpha, s, x):
     t = x - s
-    return 2.0 * alpha**3 * t / (1.0 + (alpha * t) ** 2) ** 2
+    return 2.0 * _param_pow(alpha, 3) * t / (1.0 + (alpha * t) ** 2) ** 2
 
 
 def _arctan_fp(alpha, s, x):
     t = x - s
     a2t2 = (alpha * t) ** 2
-    return 2.0 * alpha**3 * (1.0 - 3.0 * a2t2) / (1.0 + a2t2) ** 3
+    return 2.0 * _param_pow(alpha, 3) * (1.0 - 3.0 * a2t2) / (1.0 + a2t2) ** 3
 
 
 def _arctan_F(alpha, s, x):
@@ -255,7 +276,7 @@ def hat_loads_exact(load: LoadSpec, xl, xr):
         I_r = (G_r - G_l - xl * F_r + _power_xF(sg, xl)) / h
         with np.errstate(divide="ignore"):
             F_l = np.where(xl > _SINGULAR_TOL, _power_F(sg, np.maximum(xl, _SINGULAR_TOL)),
-                           -np.inf if sg < 1.0 else _power_F(sg, 0.0))
+                           np.where(sg < 1.0, -np.inf, _power_F(sg, 0.0)))
         I_l = (xr * (F_r - F_l) - (G_r - G_l)) / h
         return I_l, I_r
     F, G = load.bind("F"), load.bind("G")
@@ -266,8 +287,11 @@ def hat_loads_exact(load: LoadSpec, xl, xr):
     return I_l, I_r
 
 
-def hat_load_derivs_exact(load: LoadSpec, xl, xr):
+def hat_load_derivs_exact(load: LoadSpec, xl, xr, values=None):
     """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr).
+
+    values: the (I_l, I_r) of hat_loads_exact on the same elements, if
+    the caller has them; otherwise they are computed here.
 
     For the power family, entries tied to a left endpoint at the
     singularity are returned as 0; they are either multiplied by a
@@ -278,7 +302,7 @@ def hat_load_derivs_exact(load: LoadSpec, xl, xr):
     xr = np.asarray(xr, dtype=float)
     h = xr - xl
     F, f = load.bind("F"), load.bind("f")
-    I_l, I_r = hat_loads_exact(load, xl, xr)
+    I_l, I_r = hat_loads_exact(load, xl, xr) if values is None else values
     with np.errstate(divide="ignore", invalid="ignore"):
         dF = F(xr) - F(xl)
         derivs = (-f(xl) + I_l / h, dF / h - I_l / h, -dF / h + I_r / h, f(xr) - I_r / h)
@@ -340,9 +364,11 @@ def hat_loads(load: LoadSpec, xl, xr):
     return line_hat_loads(load.bind("f"), xl, xr, load.rule())
 
 
-def hat_load_derivs(load: LoadSpec, xl, xr):
+def hat_load_derivs(load: LoadSpec, xl, xr, values=None):
+    """Dispatch 1D hat-load derivatives; exact mode reuses the loads
+    `values` of hat_loads when given."""
     if load.mode == "exact":
-        return hat_load_derivs_exact(load, xl, xr)
+        return hat_load_derivs_exact(load, xl, xr, values)
     return line_hat_load_derivs(load.bind("f"), load.bind("fp"), xl, xr, load.rule())[1]
 
 
@@ -351,8 +377,11 @@ def hat_load_derivs(load: LoadSpec, xl, xr):
 
 def node_loads(I_l, I_r, flux=0.0):
     """Node vector of one axis from its per-element (falling, rising) hat
-    loads, with the Neumann flux as a point load at the last node."""
-    return np.append(I_l, flux) + np.insert(I_r, 0, 0.0)
+    loads, with the Neumann flux as a point load at the last node; (K, E)
+    loads and a (K, 1) flux give one vector per row."""
+    end = np.shape(I_l)[:-1] + (1,)
+    return (np.concatenate([I_l, np.broadcast_to(flux, end)], axis=-1)
+            + np.concatenate([np.zeros(end), I_r], axis=-1))
 
 
 def area_loads(load: LoadSpec, xs, ys):

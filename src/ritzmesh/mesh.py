@@ -122,41 +122,55 @@ class TensorMesh2D:
 def softmax_partition(theta):
     """Partition of unity from logits, with max-subtraction for overflow safety.
 
-    Every entry lies in (0, 1) and the entries sum to 1.
+    Every entry lies in (0, 1) and the entries sum to 1; a (K, n)
+    array gives one partition per row.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1 or theta.size < 1:
+    if theta.ndim not in (1, 2) or theta.shape[-1] < 1:
         raise ValueError("theta must be a vector of length >= 1")
     if not np.all(np.isfinite(theta)):
         raise ValueError("theta contains non-finite entries")
-    shifted = theta - theta.max()
+    shifted = theta - theta.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def build_mesh_1d(params: MeshParams1D) -> Mesh1D:
     """Realize logits (plus fixed interior nodes) as a sorted mesh.
 
-    Chain nodes: x_0 = a, x_i = x_{i-1} + (b - a) * delta_i; the last
-    chain node is assigned b exactly rather than by summation.  Fixed
-    nodes are merged and the union sorted.  Raises DegenerateMeshError
-    if any resulting element is shorter than EPS_MIN_FACTOR * (b - a),
-    which also covers sort ties (the gradient is undefined there).
+    Raises DegenerateMeshError if any element is shorter than
+    EPS_MIN_FACTOR * (b - a), which also covers sort ties (the gradient
+    is undefined there).
     """
     a, b = params.interval
-    delta = softmax_partition(params.theta)
-    n = delta.size
-    chain = np.empty(n + 1)
-    chain[0] = a
-    chain[1:] = a + (b - a) * np.cumsum(delta)
-    chain[n] = b
-    unsorted = np.concatenate([chain, params.fixed_interior])
-    order = np.argsort(unsorted, kind="stable")
-    nodes = unsorted[order]
+    nodes, record = softmax_nodes(params.theta, params)
     _check_lengths(nodes, b - a)
-    adaptive = order <= n
-    record = ConstructionRecord(order=order, n_adaptive=n, adaptive=adaptive, delta=delta)
     return Mesh1D(nodes=nodes, record=record)
+
+
+def softmax_nodes(theta, params: MeshParams1D):
+    """Sorted nodes and their ConstructionRecord, unchecked, from logits
+    theta: a vector, or a (K, n) batch giving every array a leading
+    sample axis; params gives the interval and the fixed nodes.
+
+    Chain nodes: x_0 = a, x_i = x_{i-1} + (b - a) * delta_i; the last
+    chain node is assigned b exactly rather than by summation.  Fixed
+    nodes are merged and the union sorted.
+    """
+    a, b = params.interval
+    delta = softmax_partition(theta)
+    n = delta.shape[-1]
+    lead = delta.shape[:-1]
+    chain = np.empty(lead + (n + 1,))
+    chain[..., 0] = a
+    chain[..., 1:] = a + (b - a) * np.cumsum(delta, axis=-1)
+    chain[..., n] = b
+    fixed = np.broadcast_to(params.fixed_interior, lead + params.fixed_interior.shape)
+    unsorted = np.concatenate([chain, fixed], axis=-1)
+    order = np.argsort(unsorted, axis=-1, kind="stable")
+    nodes = np.take_along_axis(unsorted, order, axis=-1)
+    return nodes, ConstructionRecord(order=order, n_adaptive=n, adaptive=order <= n,
+                                     delta=delta)
 
 
 def build_tensor_mesh_2d(params_x: MeshParams1D, params_y: MeshParams1D) -> TensorMesh2D:
@@ -171,34 +185,45 @@ def mesh_pullback(grad_nodes, record: ConstructionRecord, params: MeshParams1D):
     adjoint of the cumulative sum (suffix sums over chain nodes
     1..n-1; the last chain node is pinned to b), the (b - a) scale,
     and the softmax Jacobian d(delta_i)/d(theta_j) =
-    delta_i (1{i=j} - delta_j).
+    delta_i (1{i=j} - delta_j).  A record of a batch from softmax_nodes
+    pulls back a (K, M) gradient row by row.
     """
     grad_nodes = np.asarray(grad_nodes, dtype=float)
     if grad_nodes.shape != record.order.shape:
         raise ValueError(
-            f"grad_nodes has length {grad_nodes.size}, expected {record.order.size}"
+            f"grad_nodes has shape {grad_nodes.shape}, expected {record.order.shape}"
         )
     a, b = params.interval
     n = record.n_adaptive
     grad_unsorted = np.empty_like(grad_nodes)
-    grad_unsorted[record.order] = grad_nodes
+    np.put_along_axis(grad_unsorted, record.order, grad_nodes, axis=-1)
     # Interior chain nodes x_1..x_{n-1}; x_0 = a and x_n = b carry no
     # theta dependence, fixed nodes none either.
-    g_chain = grad_unsorted[1:n]
+    g_chain = grad_unsorted[..., 1:n]
     # delta_i moves x_i..x_{n-1}, so its adjoint is a suffix sum.
-    grad_delta = np.zeros(n)
-    grad_delta[: n - 1] = (b - a) * np.cumsum(g_chain[::-1])[::-1]
     delta = record.delta
-    return delta * (grad_delta - grad_delta @ delta)
+    grad_delta = np.zeros(delta.shape)
+    grad_delta[..., : n - 1] = (b - a) * np.cumsum(g_chain[..., ::-1], axis=-1)[..., ::-1]
+    # one `@` per row, as a single vector computes it, for the same bits
+    dot = np.array([g @ d for g, d in zip(np.atleast_2d(grad_delta), np.atleast_2d(delta))])
+    return delta * (grad_delta - dot.reshape(delta.shape[:-1] + (1,)))
+
+
+def degenerate_rows(nodes, span):
+    """Per row of (K, M) nodes, a DegenerateMeshError for the row's first
+    element shorter than EPS_MIN_FACTOR * span, or None."""
+    lengths = np.diff(nodes)
+    eps_min = EPS_MIN_FACTOR * span
+    errors = [None] * len(nodes)
+    for k, e in zip(*np.nonzero(lengths < eps_min)):
+        if errors[k] is None:
+            errors[k] = DegenerateMeshError(
+                f"element {e} spanning [{float(nodes[k, e])}, {float(nodes[k, e + 1])}] has "
+                f"length {lengths[k, e]:.3e} < {eps_min:.3e}")
+    return errors
 
 
 def _check_lengths(nodes, span):
-    lengths = np.diff(nodes)
-    eps_min = EPS_MIN_FACTOR * span
-    bad = np.flatnonzero(lengths < eps_min)
-    if bad.size:
-        e = int(bad[0])
-        raise DegenerateMeshError(
-            f"element {e} spanning [{float(nodes[e])}, {float(nodes[e + 1])}] has "
-            f"length {lengths[e]:.3e} < {eps_min:.3e}"
-        )
+    error = degenerate_rows(nodes[None], span)[0]
+    if error is not None:
+        raise error

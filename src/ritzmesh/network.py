@@ -56,28 +56,37 @@ def lecun_init(n_inputs, n_outputs, seed=0) -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, x):
-    """Logits for one encoded input vector; returns (logits, cache)."""
+    """Logits for one encoded input vector, or one row of logits per row
+    of a (K, P) batch; returns (logits, cache)."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("network input contains non-finite entries")
-    z1 = np.tanh(params.W1 @ x + params.b1)
-    z2 = np.tanh(params.W2 @ z1 + params.b2)
-    logits = params.W3 @ z2
-    return logits, (x, z1, z2)
+    X = np.atleast_2d(x)
+    z1 = np.tanh(_matvec(params.W1, X) + params.b1)
+    z2 = np.tanh(_matvec(params.W2, z1) + params.b2)
+    logits = _matvec(params.W3, z2)
+    return logits.reshape(x.shape[:-1] + (-1,)), (X, z1, z2)
 
 
 def mlp_backward(params: MlpParams, cache, grad_logits):
-    """Gradients of grad_logits . logits with respect to the weights."""
+    """Gradients of grad_logits . logits with respect to the weights,
+    summed over the rows of a batch in row order."""
     x, z1, z2 = cache
-    g = np.asarray(grad_logits, dtype=float)
-    dW3 = np.outer(g, z2)
-    dz2 = (params.W3.T @ g) * (1.0 - z2 * z2)
-    dW2 = np.outer(dz2, z1)
-    db2 = dz2
-    dz1 = (params.W2.T @ dz2) * (1.0 - z1 * z1)
-    dW1 = np.outer(dz1, x)
-    db1 = dz1
-    return MlpParams(W1=dW1, b1=db1, W2=dW2, b2=db2, W3=dW3)
+    g = np.atleast_2d(np.asarray(grad_logits, dtype=float))
+    dz2 = _matvec(params.W3.T, g) * (1.0 - z2 * z2)
+    dz1 = _matvec(params.W2.T, dz2) * (1.0 - z1 * z1)
+    return MlpParams(W1=_outer_sum(dz1, x), b1=dz1.sum(axis=0), W2=_outer_sum(dz2, z1),
+                     b2=dz2.sum(axis=0), W3=_outer_sum(g, z2))
+
+
+def _matvec(W, X):
+    """W @ x for every row x of X.  Stacked matmul gives each row the bits
+    of a single W @ x; a GEMM over the batch (X @ W.T) would not."""
+    return np.matmul(W, X[..., None])[..., 0]
+
+
+def _outer_sum(u, v):
+    return (u[:, :, None] * v[:, None, :]).sum(axis=0)
 
 
 def zero_grads(params: MlpParams) -> MlpParams:

@@ -4,15 +4,25 @@ One Evaluation bundles everything a training step or an experiment
 needs.  The solve happens once, outside any differentiation; the
 gradient reuses the solved coefficients through the closed-form
 contraction and the mesh pullback.
+
+evaluate_batch runs the chain for K problems of one family and size.
+In 1D every step but the solve acts on (K, .) arrays, row k bitwise
+what the single-problem chain gives problem k; the solve loops over
+the rows.  2D batches loop over the single-problem chain.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import DofLabeling, SparseSystem, assemble_system, label_dirichlet
+from . import loads as ld
+from .assembly import (DofLabeling, SparseSystem, assemble_system, contraction_1d,
+                       label_dirichlet, stack_materials, stiffness_batch_1d)
 from .energy import ritz_energy, ritz_gradient
-from .solver import SolveReport, solve_spd
+from .errors import DegenerateMeshError, SolverError
+from .mesh import degenerate_rows, mesh_pullback, softmax_nodes
+from .solver import DIRECT_DOF_LIMIT, SolveReport, solve_spd, solve_splu
 
 
 @dataclass(frozen=True)
@@ -67,3 +77,100 @@ def finite_difference_gradient(problem, theta, step=1e-6):
         J_minus = evaluate(problem, bumped).J
         grad[j] = (J_plus - J_minus) / (2.0 * step)
     return grad
+
+
+@dataclass
+class BatchEvaluation:
+    """Per sample: J (nan if skipped), the scaled logits gradient (a nan
+    row if skipped; grad is None without scales), the error that skipped
+    it or None, the free-node load ell and coefficients c (None if
+    skipped); nodes holds a 1D batch's (K, N+1) mesh nodes."""
+
+    J: np.ndarray
+    grad: np.ndarray | None
+    errors: list
+    ell: list
+    c: list
+    nodes: np.ndarray | None = None
+
+    @property
+    def kept(self):
+        return np.array([e is None for e in self.errors])
+
+
+def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
+    """Evaluate K problems of one family and size on logits (K, n), or on
+    their uniform meshes if logits is None.  scales are the per-sample
+    gradient factors (1/|J_uniform_ref| for the balanced loss); without
+    them no gradient is computed.  A sample whose mesh degenerates or
+    whose solve fails is skipped with its error, not fatal."""
+    K, first = len(problems), problems[0]
+    if scales is not None and logits is None:
+        raise ValueError("a logits gradient needs logits")
+    out = BatchEvaluation(J=np.full(K, np.nan), errors=[None] * K, ell=[None] * K, c=[None] * K,
+                          grad=None if scales is None else np.full((K, first.theta_size), np.nan))
+    if first.dim == 2 or first.n_elements > DIRECT_DOF_LIMIT:
+        _evaluate_each(problems, logits, scales, out)
+        return out
+    params = first.mesh_params(None)
+    if logits is None:
+        out.nodes = np.repeat(first.uniform_mesh().nodes[None], K, axis=0)
+    else:
+        out.nodes, record = softmax_nodes(logits, params)
+        out.errors = degenerate_rows(out.nodes, params.interval[1] - params.interval[0])
+    live = np.flatnonzero(out.kept)
+    if live.size == 0:
+        return out
+    x = out.nodes[live]
+    material = stack_materials([problems[k].material for k in live])
+    load = ld.stack_loads([problems[k].load for k in live])
+    values = ld.hat_loads(load, x[:, :-1], x[:, 1:])
+    flux = np.array([[problems[k].load.bind("flux")()] for k in live])
+    c_full = _solve_1d(first.boundary, x, material, ld.node_loads(*values, flux), live, out)
+    solved = np.flatnonzero(out.kept[live])
+    if scales is None or solved.size == 0:
+        return out
+    if solved.size < live.size:
+        material = stack_materials([problems[k].material for k in live[solved]])
+        load = ld.stack_loads([problems[k].load for k in live[solved]])
+        values = tuple(v[solved] for v in values)
+    grad_nodes = np.zeros_like(out.nodes)
+    grad_nodes[live[solved]] = contraction_1d(x[solved], material, load, c_full[solved], values)
+    grad = np.asarray(scales, dtype=float)[:, None] * mesh_pullback(grad_nodes, record, params)
+    out.grad[live[solved]] = grad[live[solved]]
+    return out
+
+
+def _solve_1d(boundary, x, material, rhs, live, out):
+    """Solve row i (batch row live[i]) on nodes x[i] with loads rhs[i],
+    recording its J, ell and c; returns c over all nodes.  Rows with one
+    free set share a CSC matrix whose values each row overwrites."""
+    c_full = np.zeros_like(x)
+    for rows, labeling, indptr, indices, data in stiffness_batch_1d(x, boundary, material):
+        A = sp.csc_matrix((data[0], indices, indptr), shape=(labeling.n_free,) * 2)
+        A.has_canonical_format = True   # symmetric: its CSR arrays are its CSC arrays
+        for i, values in zip(rows, data):
+            A.data = values
+            ell = rhs[i, labeling.free]
+            try:
+                report = solve_splu(A, ell)
+            except SolverError as exc:
+                out.errors[live[i]] = exc
+                continue
+            out.J[live[i]] = ritz_energy(SparseSystem(B=A, ell=ell, labeling=labeling), report.c)
+            out.ell[live[i]], out.c[live[i]] = ell, report.c
+            c_full[i, labeling.free] = report.c
+    return c_full
+
+
+def _evaluate_each(problems, logits, scales, out):
+    for k, problem in enumerate(problems):
+        try:
+            mesh = problem.uniform_mesh() if logits is None else problem.build_mesh(logits[k])
+            ev = evaluate_mesh(problem, mesh)
+        except (DegenerateMeshError, SolverError) as exc:
+            out.errors[k] = exc
+            continue
+        out.J[k], out.ell[k], out.c[k] = ev.J, ev.system.ell, ev.c
+        if scales is not None:
+            out.grad[k] = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c, scale=scales[k])

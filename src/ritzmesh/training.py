@@ -8,7 +8,9 @@ over the training tuples in a freshly shuffled order.
 
 Each step runs the same chain: build mesh, assemble, solve (never
 differentiated), evaluate the energy, contract the closed-form element
-derivatives, pull back, update.
+derivatives, pull back, update.  Parametric mode runs each mini-batch,
+the uniform references and the monitor as one pipeline.evaluate_batch
+call and one network pass, bitwise equal to a loop over the samples.
 """
 
 import csv
@@ -20,10 +22,10 @@ import numpy as np
 
 from . import loads as ld
 from .energy import balanced_ritz, relative_error, ritz_gradient
-from .errors import ConfigurationError, DegenerateMeshError, SolverError
-from .network import MlpParams, accumulate, lecun_init, mlp_backward, mlp_forward, zero_grads
+from .errors import ConfigurationError, DegenerateMeshError
+from .network import MlpParams, lecun_init, mlp_backward, mlp_forward
 from .optim import AdamState, adam_step
-from .pipeline import evaluate, evaluate_mesh, evaluate_uniform
+from .pipeline import evaluate, evaluate_batch
 from .problems import make_problem
 from .sampling import ParamGrid
 
@@ -127,12 +129,13 @@ class ParametricRun:
 
 def uniform_reference_energies(family, grid: ParamGrid, n_elements, indices=None):
     """J at the equispaced mesh per tuple; the balancing denominators."""
-    refs = {}
     rows = grid.tuples if indices is None else grid.tuples[indices]
-    for sigma in rows:
-        problem = make_problem(family, sigma=tuple(sigma), n_elements=n_elements)
-        refs[tuple(sigma)] = evaluate_uniform(problem).J
-    return refs
+    batch = evaluate_batch([make_problem(family, sigma=tuple(s), n_elements=n_elements)
+                            for s in rows])
+    for error in batch.errors:
+        if error is not None:
+            raise error
+    return {tuple(sigma): J for sigma, J in zip(rows, batch.J)}
 
 
 def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
@@ -147,26 +150,28 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
     """
     needed = np.union1d(grid.train_idx, grid.monitor_idx)
     refs = uniform_reference_energies(family, grid, n_elements, indices=needed)
-    probe = make_problem(family, sigma=tuple(grid.tuples[0]), n_elements=n_elements)
-    params = lecun_init(len(grid.axes), probe.theta_size, seed=seed)
+    sigmas = {i: tuple(grid.tuples[i]) for i in needed}
+    problems = {i: make_problem(family, sigma=sigmas[i], n_elements=n_elements) for i in needed}
+    inputs = {i: grid.encode(sigmas[i]) for i in needed}
+    params = lecun_init(len(grid.axes), problems[needed[0]].theta_size, seed=seed)
     state = AdamState.for_params(params, schedule=schedule)
     history = History(columns=("iteration", "loss", "e_test"))
-    exact = {tuple(s): ld.reference_ritz(make_problem(family, sigma=tuple(s),
-                                                      n_elements=n_elements))
-             for s in grid.tuples[grid.monitor_idx]}
+    exact = {i: ld.reference_ritz(problems[i]) for i in grid.monitor_idx}
     run = ParametricRun(params=params, state=state, history=history, grid=grid,
                         family=family, n_elements=n_elements, uniform_refs=refs)
 
+    def forward(members):
+        return mlp_forward(params, np.array([inputs[i] for i in members]))
+
     def monitor_error():
+        ev = evaluate_batch([problems[i] for i in grid.monitor_idx],
+                            forward(grid.monitor_idx)[0])
         errs = []
-        for sigma in grid.tuples[grid.monitor_idx]:
-            sig = tuple(sigma)
-            try:
-                ev = evaluate_mesh(run.problem_for(sig), run.mesh_for(sig))
-            except (DegenerateMeshError, SolverError) as exc:
-                logger.warning("monitor skipped sigma=%s: %s", sig, exc)
-                continue
-            errs.append(relative_error(ev.J, exact[sig]))
+        for i, J, error in zip(grid.monitor_idx, ev.J, ev.errors):
+            if error is not None:
+                logger.warning("monitor skipped sigma=%s: %s", sigmas[i], error)
+            else:
+                errs.append(relative_error(J, exact[i]))
         return float(np.mean(errs)) if errs else float("nan")
 
     rng = np.random.default_rng(seed)
@@ -178,29 +183,20 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
         rng.shuffle(order)
         for lo in range(0, order.size, batch):
             members = order[lo: lo + batch]
-            grads = zero_grads(params)
-            losses = []
-            for idx in members:
-                sigma = tuple(grid.tuples[idx])
-                problem = run.problem_for(sigma)
-                x = grid.encode(sigma)
-                logits, cache = mlp_forward(params, x)
-                try:
-                    ev = evaluate(problem, logits)
-                except (DegenerateMeshError, SolverError) as exc:
+            logits, cache = forward(members)
+            ev = evaluate_batch([problems[i] for i in members], logits,
+                                [1.0 / abs(refs[sigmas[i]]) for i in members])
+            for i, error in zip(members, ev.errors):
+                if error is not None:
                     # one bad sample must not kill a long run
                     logger.warning("skipping sigma=%s at iteration %d: %s",
-                                   sigma, iteration, exc)
-                    continue
-                ref = refs[sigma]
-                losses.append(balanced_ritz(ev.J, ref))
-                grad_logits = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c,
-                                            scale=1.0 / abs(ref))
-                g = mlp_backward(params, cache, grad_logits)
-                accumulate(grads, g)
+                                   sigmas[i], iteration, error)
             iteration += 1
-            if not losses:
+            kept = ev.kept
+            if not kept.any():
                 continue
+            losses = [balanced_ritz(J, refs[sigmas[i]]) for i, J in zip(members[kept], ev.J[kept])]
+            grads = mlp_backward(params, [a[kept] for a in cache], ev.grad[kept])
             for arr in grads.arrays():
                 arr /= len(losses)
             last_loss = float(np.mean(losses))

@@ -91,3 +91,32 @@ def test_benchmark_load_spans_are_called(monkeypatch, problem, called):
         monkeypatch.setattr(loads, name, counting(name, getattr(loads, name)))
     pipeline.evaluate_with_gradient(problem, None)
     assert counts == {name: int(name in called) for name in LOAD_SPANS}
+
+
+def test_parametric_epoch_calls_layers_once_per_batch(monkeypatch):
+    # the benchmark traces parametric training through these attributes;
+    # the batched path must call each once per mini-batch, not per sample
+    from ritzmesh import sampling, training
+
+    targets = [(loads, "hat_loads"), (loads, "hat_load_derivs"), (training, "mlp_forward"),
+               (training, "mlp_backward"), (training, "adam_step")]
+    counts = dict.fromkeys((name for _, name in targets), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    grid = sampling.split_train_test(sampling.default_axes("arctan1d", counts=(5, 5)), seed=0)
+    totals = []
+    for epochs in (1, 2):    # the difference is one epoch, without set-up and monitor
+        counts.update(dict.fromkeys(counts, 0))
+        training.train_parametric("arctan1d", grid, 8, epochs=epochs, batch=4,
+                                  monitor_every=1000)
+        totals.append(dict(counts))
+    batches = -(-grid.train_idx.size // 4)
+    assert {name: totals[1][name] - totals[0][name] for name in counts} == \
+        dict.fromkeys(counts, batches)

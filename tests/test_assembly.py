@@ -35,7 +35,7 @@ from ritzmesh.solver import solve_spd
 def stiffness_1d(x_left, x_right, coeff):
     """The element matrix of a one-element mesh [x_left, x_right]."""
     mesh = Mesh1D.from_nodes([x_left, x_right])
-    return _element_stiffness_1d(mesh, MaterialField(default=coeff))[0]
+    return _element_stiffness_1d(mesh.nodes, MaterialField(default=coeff))[0]
 
 
 def stiffness_quad(hx, hy, coeff):

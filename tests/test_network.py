@@ -108,6 +108,25 @@ class TestForwardBackward:
         for twice, once in zip(total.arrays(), single.arrays()):
             np.testing.assert_allclose(twice, 2 * once, rtol=1e-15)
 
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_batch_rows_bitwise_single_samples(self, k):
+        # stacked matmul per row: a GEMM over the batch would move the
+        # last bit, and the parametric loss amplifies that
+        rng = np.random.default_rng(k)
+        params = lecun_init(2, 15, seed=k)
+        X = rng.uniform(-1, 1, (k, 2))
+        G = rng.normal(size=(k, 15))
+        logits, cache = mlp_forward(params, X)
+        total = zero_grads(params)
+        for x, g, row in zip(X, G, logits):
+            single, single_cache = mlp_forward(params, x)
+            np.testing.assert_array_equal(row, single)
+            gemv = params.W3 @ np.tanh(params.W2 @ np.tanh(params.W1 @ x + params.b1) + params.b2)
+            np.testing.assert_array_equal(row, gemv)
+            accumulate(total, mlp_backward(params, single_cache, g))
+        for got, want in zip(mlp_backward(params, cache, G).arrays(), total.arrays()):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestAdam:
     def test_first_step_magnitude(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -10,6 +11,7 @@ from ritzmesh.errors import SolverError
 from ritzmesh.pipeline import evaluate, evaluate_uniform
 from ritzmesh.problems import arctan1d, arctan2d, lshape, power1d, twomaterial1d
 from ritzmesh.solver import RESIDUAL_TOL, solve_spd
+from ritzmesh.training import train_nonparametric
 
 
 def _system(B, ell):
@@ -187,3 +189,65 @@ class TestSolvePaths:
         rep = solve_spd(_system(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(9, 9)),
                                 np.zeros(9)))
         assert rep.method == "splu" and rep.iterations == 0
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("seed,make,single", [
+        (747, lambda rng: arctan1d(rng.uniform(1, 50), rng.uniform(0.2, 0.8), n_elements=16),
+         _splu_reference),
+        (493, lambda rng: lshape(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 1),
+                                 n_elements=8),
+         lambda s: sla.solveh_banded(sla_band(s.B), s.ell)),
+    ], ids=["splu", "banded-cholesky"])
+    def test_graded_system_needs_refinement(self, seed, make, single):
+        # random graded meshes (from a seeded search) whose systems one
+        # factorization solves just outside the contract
+        rng = np.random.default_rng(seed)
+        problem = make(rng)
+        system = evaluate(problem, rng.normal(0, rng.uniform(1, 6), problem.theta_size)).system
+        tol = RESIDUAL_TOL * np.linalg.norm(system.ell)
+        c0 = single(system)
+        assert np.linalg.norm(system.B @ c0 - system.ell) > tol
+        rep = solve_spd(system)
+        assert rep.iterations >= 1
+        assert rep.residual_norm <= tol
+        assert np.linalg.norm(rep.c - c0) <= 1e-9 * np.linalg.norm(c0)
+
+    @pytest.mark.parametrize("error,refinements", [(1e-6, 1), (1e-4, 2), (1e-2, None)])
+    def test_refinement_count_and_limit(self, monkeypatch, error, refinements):
+        # an inexact factor: each solve returns (1 - error) times the
+        # exact one, so refinement shrinks the residual by `error` a step
+        B = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(9, 9), format="csr")
+        ell = np.linspace(1.0, 2.0, 9)
+
+        class Inexact:
+            def __init__(self, A):
+                self.A = A.toarray()
+
+            def solve(self, b):
+                return (1.0 - error) * np.linalg.solve(self.A, b)
+
+        monkeypatch.setattr(spla, "splu", Inexact)
+        if refinements is None:
+            with pytest.raises(SolverError, match="residual"):
+                solve_spd(_system(B, ell))
+        else:
+            rep = solve_spd(_system(B, ell))
+            assert rep.iterations == refinements and rep.method == "splu"
+
+    def test_lshape_sliver_run_completes(self):
+        # at step 5 the banded solve missed the contract by 10% (1.1e-10);
+        # one refinement recovers it and the run goes on
+        problem = lshape(1.8329807108324356, 0.6951927961775606, n_elements=128)
+        _, history = train_nonparametric(problem, schedule=[(0, 1e-2)], iterations=12)
+        assert history.rows[-1][0] == 12 and np.all(np.isfinite(history.column("J")))
+
+
+def sla_band(B):
+    """Upper band storage of a canonical symmetric CSR matrix."""
+    offsets = B.indices - np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
+    kd = int(offsets.max())
+    upper = offsets >= 0
+    ab = np.zeros((kd + 1, B.shape[0]))
+    ab[kd - offsets[upper], B.indices[upper]] = B.data[upper]
+    return ab

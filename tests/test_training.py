@@ -112,6 +112,126 @@ class TestParametric:
         assert run.epochs_done == 2
 
 
+def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batch, seed,
+                                monitor_every, checkpoint_path):
+    """train_parametric as a loop over the samples of each mini-batch: the
+    single-problem chain per sample, gradients accumulated in sample
+    order.  The batched training must reproduce its bytes."""
+    import logging
+
+    from ritzmesh import loads as ld
+    from ritzmesh.energy import balanced_ritz, relative_error, ritz_gradient
+    from ritzmesh.errors import SolverError
+    from ritzmesh.network import accumulate, lecun_init, mlp_backward, zero_grads
+    from ritzmesh.optim import AdamState, adam_step
+    from ritzmesh.pipeline import evaluate, evaluate_mesh
+    from ritzmesh.problems import make_problem
+    from ritzmesh.training import ParametricRun
+
+    logger = logging.getLogger("ritzmesh.training")
+    needed = np.union1d(grid.train_idx, grid.monitor_idx)
+    refs = {tuple(s): evaluate_uniform(make_problem(family, sigma=tuple(s),
+                                                    n_elements=n_elements)).J
+            for s in grid.tuples[needed]}
+    probe = make_problem(family, sigma=tuple(grid.tuples[0]), n_elements=n_elements)
+    params = lecun_init(len(grid.axes), probe.theta_size, seed=seed)
+    state = AdamState.for_params(params, schedule=schedule)
+    history = History(columns=("iteration", "loss", "e_test"))
+    exact = {tuple(s): ld.reference_ritz(make_problem(family, sigma=tuple(s),
+                                                      n_elements=n_elements))
+             for s in grid.tuples[grid.monitor_idx]}
+    run = ParametricRun(params=params, state=state, history=history, grid=grid,
+                        family=family, n_elements=n_elements, uniform_refs=refs)
+
+    def monitor_error():
+        errs = []
+        for sigma in grid.tuples[grid.monitor_idx]:
+            sig = tuple(sigma)
+            try:
+                ev = evaluate_mesh(run.problem_for(sig), run.mesh_for(sig))
+            except (DegenerateMeshError, SolverError) as exc:
+                logger.warning("monitor skipped sigma=%s: %s", sig, exc)
+                continue
+            errs.append(relative_error(ev.J, exact[sig]))
+        return float(np.mean(errs)) if errs else float("nan")
+
+    rng = np.random.default_rng(seed)
+    iteration = 0
+    last_loss = np.nan
+    history.append(iteration, last_loss, monitor_error())
+    for epoch in range(epochs):
+        order = grid.train_idx.copy()
+        rng.shuffle(order)
+        for lo in range(0, order.size, batch):
+            grads = zero_grads(params)
+            losses = []
+            for idx in order[lo: lo + batch]:
+                sigma = tuple(grid.tuples[idx])
+                problem = run.problem_for(sigma)
+                logits, cache = mlp_forward(params, grid.encode(sigma))
+                try:
+                    ev = evaluate(problem, logits)
+                except (DegenerateMeshError, SolverError) as exc:
+                    logger.warning("skipping sigma=%s at iteration %d: %s",
+                                   sigma, iteration, exc)
+                    continue
+                ref = refs[sigma]
+                losses.append(balanced_ritz(ev.J, ref))
+                grad_logits = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c,
+                                            scale=1.0 / abs(ref))
+                accumulate(grads, mlp_backward(params, cache, grad_logits))
+            iteration += 1
+            if not losses:
+                continue
+            for arr in grads.arrays():
+                arr /= len(losses)
+            last_loss = float(np.mean(losses))
+            adam_step(state, params, grads, epoch=epoch)
+            if iteration % monitor_every == 0:
+                history.append(iteration, last_loss, monitor_error())
+        run.epochs_done = epoch + 1
+    if iteration % monitor_every != 0:
+        history.append(iteration, last_loss, monitor_error())
+    save_checkpoint(checkpoint_path, params, state, run.epochs_done)
+    return run
+
+
+class TestBatchedTrainingBytes:
+    """train_parametric runs each mini-batch as one batch; its history CSV
+    and checkpoint must be byte for byte those of the per-sample loop."""
+
+    CASES = {
+        "arctan1d": ("arctan1d", (5, 5), 8, {}, 2),
+        "power1d": ("power1d", (12,), 8, {}, 2),
+        "twomaterial1d": ("twomaterial1d", (12,), 8, {}, 2),
+        "skips": ("arctan1d", (5, 5), 8, {"schedule": [(0, 5.0)]}, 3),
+        "arctan2d": ("arctan2d", (3, 2, 2), 4, {}, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bytes_as_per_sample_loop(self, case, tmp_path, caplog):
+        import logging
+
+        family, counts, n, options, epochs = self.CASES[case]
+        grid = split_train_test(default_axes(family, counts=counts), seed=1)
+        kwargs = dict(schedule=options.get("schedule", [(0, 1e-2)]), epochs=epochs, batch=5,
+                      seed=2, monitor_every=2)
+        logs = []
+        for name, train in (("batched", train_parametric),
+                            ("reference", _reference_train_parametric)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="ritzmesh.training"):
+                run = train(family, grid, n, checkpoint_path=tmp_path / f"{name}.npz", **kwargs)
+            run.history.write_csv(tmp_path / f"{name}.csv")
+            logs.append([r.getMessage() for r in caplog.records])
+        for suffix in ("csv", "npz"):
+            assert ((tmp_path / f"batched.{suffix}").read_bytes()
+                    == (tmp_path / f"reference.{suffix}").read_bytes())
+        assert logs[0] == logs[1]
+        skipped = [m for m in logs[0] if m.startswith("skipping sigma=")]
+        assert bool(skipped) == (case == "skips")
+
+
 class TestEndToEndGradient:
     def test_batch_loss_weight_gradients_match_fd(self, small_grid):
         # full parametric chain: weights -> logits -> mesh -> assemble
