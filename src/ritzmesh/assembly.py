@@ -101,13 +101,7 @@ class MaterialField:
 
     def interface_coords(self, axis):
         """Region boundary coordinates along one axis (0 = x, 1 = y)."""
-        coords = set()
-        for region, _ in self.regions:
-            if len(region) == 2:
-                coords.update(region)
-            else:
-                coords.update(region[2 * axis: 2 * axis + 2])
-        return sorted(coords)
+        return sorted({c for region, _ in self.regions for c in region[2 * axis: 2 * axis + 2]})
 
 
 def stack_materials(materials):
@@ -131,12 +125,6 @@ class SparseSystem:
     labeling: DofLabeling
 
 
-def node_coordinates_2d(mesh: TensorMesh2D):
-    """Grid coordinates flattened with x fastest: index = iy*(Nx+1) + ix."""
-    X, Y = np.meshgrid(mesh.mesh_x.nodes, mesh.mesh_y.nodes, indexing="xy")
-    return X.ravel(), Y.ravel()
-
-
 def label_dirichlet(mesh, spec: str) -> DofLabeling:
     """Label Dirichlet nodes by their current coordinates.
 
@@ -155,19 +143,14 @@ def label_dirichlet(mesh, spec: str) -> DofLabeling:
     elif isinstance(mesh, TensorMesh2D):
         if spec not in BOUNDARY_SPECS_2D:
             raise ConfigurationError(f"unknown 2D boundary spec {spec!r}")
-        x, y = node_coordinates_2d(mesh)
-        ax, bx = mesh.mesh_x.nodes[0], mesh.mesh_x.nodes[-1]
-        ay, by = mesh.mesh_y.nodes[0], mesh.mesh_y.nodes[-1]
-        left = x <= ax + COORD_TOL
-        bottom = y <= ay + COORD_TOL
-        right = x >= bx - COORD_TOL
-        top = y >= by - COORD_TOL
-        if spec == "left-bottom":
-            mask = left | bottom
-        else:
-            mask = left | bottom | right | top
+        # a row and a column broadcast to the node grid, x fastest
+        x, y = mesh.mesh_x.nodes, mesh.mesh_y.nodes[:, None]
+        mask = (x <= x[0] + COORD_TOL) | (y <= y[0] + COORD_TOL)
+        if spec != "left-bottom":
+            mask |= (x >= x[-1] - COORD_TOL) | (y >= y[-1] - COORD_TOL)
             if spec == "lshape":
                 mask |= (x >= 0.5 - COORD_TOL) & (y <= 0.5 + COORD_TOL)
+        mask = mask.ravel()
     else:
         raise TypeError(f"unsupported mesh type {type(mesh)!r}")
     idx = np.arange(mask.size)
@@ -196,17 +179,6 @@ def _connectivity_2d(nx, ny):
     stride = nx + 1
     ll = (ey * stride + ex).ravel()
     return np.stack([ll, ll + 1, ll + stride + 1, ll + stride], axis=1)
-
-
-def _element_tables_2d(mesh: TensorMesh2D):
-    """Per-element corner indices and endpoint coordinates."""
-    nx = mesh.mesh_x.n_elements
-    ny = mesh.mesh_y.n_elements
-    ex, ey = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ex, ey = ex.ravel(), ey.ravel()
-    xs = mesh.mesh_x.nodes
-    ys = mesh.mesh_y.nodes
-    return ex, ey, _connectivity_2d(nx, ny), xs[ex], xs[ex + 1], ys[ey], ys[ey + 1]
 
 
 @lru_cache(maxsize=8)
@@ -308,12 +280,14 @@ def _element_stiffness_1d(x, material: MaterialField):
 
 
 def _element_stiffness_2d(mesh: TensorMesh2D, material: MaterialField):
-    """Element matrices (E, 4, 4) in counterclockwise local order."""
-    _, _, _, xl, xr, yb, yt = _element_tables_2d(mesh)
-    hx = xr - xl
-    hy = yt - yb
-    coeff = material.value_at_2d(0.5 * (xl + xr), 0.5 * (yb + yt))
-    return (coeff * (hy / hx))[:, None, None] * _AX + (coeff * (hx / hy))[:, None, None] * _AY
+    """Element matrices (E, 4, 4) in counterclockwise local order,
+    elements x fastest: the x nodes as a row and the y nodes as a column
+    broadcast to the (ny, nx) element grid."""
+    xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes[:, None]
+    hx, hy = np.diff(xs), np.diff(ys, axis=0)
+    coeff = material.value_at_2d(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
+    K = (coeff * (hy / hx))[..., None, None] * _AX + (coeff * (hx / hy))[..., None, None] * _AY
+    return K.reshape(-1, 4, 4)
 
 
 def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: MaterialField,
@@ -365,17 +339,18 @@ def contraction_1d(x, material, load, c_full, values=None):
 
 
 def _contraction_2d(mesh, material, load, c_full):
-    _, _, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
-    hx = xr - xl
-    hy = yt - yb
-    coeff = material.value_at_2d(0.5 * (xl + xr), 0.5 * (yb + yt))
-    Ce = c_full[conn]                     # (E, 4)
-    a = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AX, Ce)
-    b = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AY, Ce)
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
-    # elements run x fastest: sum the stiffness terms over each column and row
-    s_x = (coeff * (-hy / hx**2 * a + b / hy)).reshape(ys.size - 1, xs.size - 1).sum(axis=0)
-    s_y = (coeff * (a / hx - hx / hy**2 * b)).reshape(ys.size - 1, xs.size - 1).sum(axis=1)
+    # the stiffness part on the (ny, nx) element grid, x nodes as a row
+    # and y nodes as a column, element corners counterclockwise
+    hx, hy = np.diff(xs), np.diff(ys)[:, None]
+    coeff = material.value_at_2d(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])[:, None])
+    C = c_full.reshape(ys.size, xs.size)
+    Ce = np.stack([C[:-1, :-1], C[:-1, 1:], C[1:, 1:], C[1:, :-1]], axis=-1).reshape(-1, 4)
+    a = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AX, Ce).reshape(coeff.shape)
+    b = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AY, Ce).reshape(coeff.shape)
+    # sum the stiffness terms over each column and row
+    s_x = (coeff * (-hy / hx**2 * a + b / hy)).sum(axis=0)
+    s_y = (coeff * (a / hx - hx / hy**2 * b)).sum(axis=1)
     grad_x = np.zeros_like(xs)
     grad_y = np.zeros_like(ys)
     grad_x[:-1] -= s_x
@@ -383,7 +358,6 @@ def _contraction_2d(mesh, material, load, c_full):
     grad_y[:-1] -= s_y
     grad_y[1:] += s_y
 
-    C = c_full.reshape(ys.size, xs.size)
     for (lx, dx), (ly, dy) in ld.area_load_derivs(load, xs, ys):
         _load_contraction(grad_x, C.T @ ly, dx)
         _load_contraction(grad_y, C @ lx, dy)

@@ -108,7 +108,7 @@ def _schedule(cfg, default=((0, 1e-2),)):
 
 def cmd_solve(cfg, out, seed):
     problem = build_problem(cfg)
-    J, e_h, ev = experiments.solve_summary(problem)
+    J, e_h = experiments.solve_summary(problem)
     print(f"J = {J:.10g}")
     if e_h is not None:
         print(f"e_h = {e_h:.10g}")
@@ -202,13 +202,10 @@ def cmd_report(cfg, out, seed):
     checkpoint = cfg.get("checkpoint")
     if checkpoint is None:
         raise ConfigurationError("report needs a 'checkpoint' path in the config")
-    params, state, epoch = training.load_checkpoint(checkpoint)
-    # the error report solves its own uniform meshes; no balancing
-    # references are needed
+    params, _, epoch = training.load_checkpoint(checkpoint)
     run = training.ParametricRun(
-        params=params, state=state, history=training.History(columns=()),
-        grid=grid, family=problem.family, n_elements=problem.n_elements,
-        uniform_refs={}, epochs_done=epoch,
+        params=params, history=training.History(columns=()), grid=grid,
+        family=problem.family, n_elements=problem.n_elements, epochs_done=epoch,
     )
     reports = experiments.parametric_error_report(run)
     experiments.write_report(reports, out)

@@ -25,19 +25,8 @@ class MlpParams:
     b2: np.ndarray
     W3: np.ndarray
 
-    @property
-    def n_inputs(self):
-        return self.W1.shape[1]
-
-    @property
-    def n_outputs(self):
-        return self.W3.shape[0]
-
     def arrays(self):
         return [getattr(self, name) for name in PARAM_NAMES]
-
-    def copy(self):
-        return MlpParams(*(a.copy() for a in self.arrays()))
 
 
 def lecun_init(n_inputs, n_outputs, seed=0) -> MlpParams:

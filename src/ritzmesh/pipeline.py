@@ -22,7 +22,7 @@ from .assembly import (DofLabeling, SparseSystem, assemble_system, contraction_1
 from .energy import ritz_energy, ritz_gradient
 from .errors import DegenerateMeshError, SolverError
 from .mesh import degenerate_rows, mesh_pullback, softmax_nodes
-from .solver import DIRECT_DOF_LIMIT, SolveReport, solve_spd, solve_splu
+from .solver import SolveReport, solve_spd, solve_splu
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
         raise ValueError("a logits gradient needs logits")
     out = BatchEvaluation(J=np.full(K, np.nan), errors=[None] * K, ell=[None] * K, c=[None] * K,
                           grad=None if scales is None else np.full((K, first.theta_size), np.nan))
-    if first.dim == 2 or first.n_elements > DIRECT_DOF_LIMIT:
+    if first.dim == 2:
         _evaluate_each(problems, logits, scales, out)
         return out
     params = first.mesh_params(None)

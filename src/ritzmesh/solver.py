@@ -13,10 +13,13 @@ LU (``splu``).  1D stays on ``splu`` on purpose: the parametric arctan
 runs amplify roundoff, and a banded 1D solve changes the coefficients
 in the last bit and, through training, the final errors recorded
 against this LU (whose COLAMD ordering permutes even a tridiagonal
-matrix, so no Thomas sweep reproduces it).  A direct solve that misses
-the residual contract is refined with its factor at most twice
-(fixed-precision iterative refinement; Higham, Accuracy and Stability
-of Numerical Algorithms, ch. 12); the contract never loosens.
+matrix, so no Thomas sweep reproduces it).  Conjugate gradients run
+only on request or, in 'auto' mode, on systems above DIRECT_DOF_LIMIT
+that are not tridiagonal: a tridiagonal factor is cheap at any size.
+A direct solve that misses the residual contract is refined with its
+factor at most twice (fixed-precision iterative refinement; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 12); the contract
+never loosens.
 """
 
 from dataclasses import dataclass
@@ -66,8 +69,9 @@ def _upper_band(B, offsets, kd):
 def solve_spd(system, method: str = "auto") -> SolveReport:
     """Solve B c = ell for an SPD system to relative residual 1e-10.
 
-    method: 'direct-cholesky', 'cg', or 'auto' (direct up to 20k DOFs,
-    conjugate gradients above).  The direct method runs banded
+    method: 'direct-cholesky', 'cg', or 'auto' (direct, except conjugate
+    gradients above 20k DOFs when the matrix is not tridiagonal, so 1D
+    systems factor at every size).  The direct method runs banded
     Cholesky when the upper bandwidth kd exceeds 1 and the band holds
     at most 32 * nnz entries; tridiagonal and wide-band matrices go to
     ``splu``; the report's iterations count a direct solve's
@@ -78,9 +82,7 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
     """
     B, ell = system.B, system.ell
     n = ell.size
-    if method == "auto":
-        method = "direct-cholesky" if n <= DIRECT_DOF_LIMIT else "cg"
-    if method not in ("direct-cholesky", "cg"):
+    if method not in ("auto", "direct-cholesky", "cg"):
         raise ValueError(f"unknown solve method {method!r}")
     _check_load(ell)
     # the band reads only the upper triangle, so this check guards it
@@ -88,15 +90,18 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
     if asym.nnz and asym.max() > SYMMETRY_TOL * max(1.0, abs(B).max()):
         raise SolverError("stiffness matrix is not symmetric")
 
-    if method == "direct-cholesky":
+    if method != "cg":
         B = B.tocsr()
         if not B.has_canonical_format:
             B = B.copy()
             B.sum_duplicates()
         offsets = _band_offsets(B)
         kd = int(offsets.max(initial=0))
-        banded = kd > 1 and (kd + 1) * n <= BAND_FILL_LIMIT * B.nnz
-        method = "banded-cholesky" if banded else "splu"
+        if method == "auto" and n > DIRECT_DOF_LIMIT and kd > 1:
+            method = "cg"
+        else:
+            banded = kd > 1 and (kd + 1) * n <= BAND_FILL_LIMIT * B.nnz
+            method = "banded-cholesky" if banded else "splu"
 
     ell_norm = np.linalg.norm(ell)
     if ell_norm == 0.0:
@@ -111,7 +116,7 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
         return _refined(partial(sla.cho_solve_banded, (factor, False), check_finite=False),
                         B, ell, ell_norm, method)
     if method == "splu":
-        return _refined(_lu(B.tocsc()).solve, B, ell, ell_norm, method)
+        return solve_splu(B.tocsc(), ell)
 
     diag = B.diagonal()
     if np.any(diag <= 0):

@@ -108,12 +108,10 @@ def train_nonparametric(problem, schedule=((0, 1e-2),), iterations=1000, callbac
 @dataclass
 class ParametricRun:
     params: MlpParams
-    state: AdamState
     history: History
     grid: ParamGrid
     family: str
     n_elements: int
-    uniform_refs: dict
     epochs_done: int = 0
 
     def logits_for(self, sigma):
@@ -157,8 +155,8 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
     state = AdamState.for_params(params, schedule=schedule)
     history = History(columns=("iteration", "loss", "e_test"))
     exact = {i: ld.reference_ritz(problems[i]) for i in grid.monitor_idx}
-    run = ParametricRun(params=params, state=state, history=history, grid=grid,
-                        family=family, n_elements=n_elements, uniform_refs=refs)
+    run = ParametricRun(params=params, history=history, grid=grid, family=family,
+                        n_elements=n_elements)
 
     def forward(members):
         return mlp_forward(params, np.array([inputs[i] for i in members]))

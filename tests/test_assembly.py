@@ -10,7 +10,6 @@ from ritzmesh.assembly import (
     MaterialField,
     _element_stiffness_1d,
     _element_stiffness_2d,
-    _element_tables_2d,
     _scatter_pattern,
     assemble_system,
     assembly_gradient_contraction,
@@ -148,6 +147,23 @@ class TestLabeling:
             mesh = TensorMesh2D(mesh_x=axis, mesh_y=axis)
             lab = label_dirichlet(mesh, "lshape")
             assert lab.n_free == 3 * n * n // 4 - 2 * n + 1
+
+    @pytest.mark.parametrize("problem", [lshape(1.7, 0.4, n_elements=8),
+                                         arctan2d(10.0, 0.3, 0.6, n_elements=6, order=4)],
+                             ids=["lshape", "arctan2d"])
+    def test_2d_matches_meshgrid_reference(self, problem):
+        rng = np.random.default_rng(11)
+        for sigma in (0.0, 0.3, 1.0):
+            mesh = problem.build_mesh(rng.normal(0.0, sigma, problem.theta_size))
+            X, Y = (g.ravel() for g in np.meshgrid(mesh.mesh_x.nodes, mesh.mesh_y.nodes))
+            tol = 1e-12
+            left_bottom = (X <= X.min() + tol) | (Y <= Y.min() + tol)
+            boundary = left_bottom | (X >= X.max() - tol) | (Y >= Y.max() - tol)
+            corner = (X >= 0.5 - tol) & (Y <= 0.5 + tol)
+            for spec, mask in (("left-bottom", left_bottom), ("all", boundary),
+                               ("lshape", boundary | corner)):
+                np.testing.assert_array_equal(label_dirichlet(mesh, spec).free,
+                                              np.flatnonzero(~mask))
 
     def test_relabeling_tracks_moving_nodes(self):
         lab0 = label_dirichlet(Mesh1D.from_nodes([0.0, 0.4, 1.0]), "both")
@@ -362,7 +378,12 @@ def _reference_stiffness(mesh, labeling, material):
         cols = np.concatenate([e, e + 1, e, e + 1])
         data = np.concatenate([k, -k, -k, k])
     else:
-        _, _, conn, xl, xr, yb, yt = _element_tables_2d(mesh)
+        nx, ny = mesh.mesh_x.n_elements, mesh.mesh_y.n_elements
+        ex, ey = (g.ravel() for g in np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy"))
+        ll = ey * (nx + 1) + ex
+        conn = np.stack([ll, ll + 1, ll + nx + 2, ll + nx + 1], axis=1)
+        xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
+        xl, xr, yb, yt = xs[ex], xs[ex + 1], ys[ey], ys[ey + 1]
         hx, hy = xr - xl, yt - yb
         coeff = material.value_at_2d(0.5 * (xl + xr), 0.5 * (yb + yt))
         K = (coeff * (hy / hx))[:, None, None] * _AX + (coeff * (hx / hy))[:, None, None] * _AY

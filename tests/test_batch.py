@@ -11,7 +11,8 @@ import pytest
 
 from ritzmesh import loads as ld
 from ritzmesh import pipeline, problems
-from ritzmesh.errors import DegenerateMeshError
+from ritzmesh.errors import DegenerateMeshError, SolverError
+from ritzmesh.solver import RESIDUAL_TOL
 
 FAMILIES = {
     "arctan1d": lambda rng, n: problems.arctan1d(rng.uniform(10, 100), rng.uniform(0.1, 0.9),
@@ -123,16 +124,27 @@ def test_gradient_needs_logits():
         pipeline.evaluate_batch([problems.arctan1d(n_elements=4)], None, [1.0])
 
 
-def test_1d_beyond_direct_limit_loops_the_single_problem_chain(monkeypatch):
-    # 1D systems above the direct limit go to CG in solve_spd; the batch
-    # hands them to the single-problem chain rather than to splu
-    monkeypatch.setattr(pipeline, "DIRECT_DOF_LIMIT", 4)
-    rng = np.random.default_rng(6)
-    probs = [FAMILIES["arctan1d"](rng, 8) for _ in range(2)]
-    logits = rng.normal(0.0, 0.5, (2, 8))
+def test_1d_beyond_direct_limit_factors():
+    # tridiagonal systems factor at every size; Jacobi CG missed the
+    # contract here (residual 1.9e-8 after 4 s)
+    ev = pipeline.evaluate_uniform(problems.power1d(0.7, n_elements=20001))
+    assert ev.report.method == "splu"
+    assert ev.report.residual_norm <= RESIDUAL_TOL * np.linalg.norm(ev.system.ell)
+
+
+def test_1d_batch_beyond_direct_limit_matches_single_problem_chain():
+    rng = np.random.default_rng(8)
+    probs = [problems.power1d(sigma, n_elements=20001) for sigma in (0.6, 0.9)]
+    logits = rng.normal(0.0, 0.05, (2, 20001))
     batch = pipeline.evaluate_batch(probs, logits, np.ones(2))
-    assert batch.nodes is None
-    for k in range(2):
-        ev, grad = pipeline.evaluate_with_gradient(probs[k], logits[k])
+    assert batch.nodes is not None
+    for k, problem in enumerate(probs):
+        try:
+            ev, grad = pipeline.evaluate_with_gradient(problem, logits[k])
+        except SolverError as exc:
+            assert isinstance(batch.errors[k], SolverError)
+            assert str(batch.errors[k]) == str(exc)
+            continue
+        assert batch.errors[k] is None
         assert batch.J[k] == ev.J
         np.testing.assert_array_equal(batch.grad[k], grad)

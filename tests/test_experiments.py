@@ -11,9 +11,13 @@ from ritzmesh.experiments import (
     run_convergence,
     run_landscape,
 )
+from ritzmesh.energy import ErrorReport, relative_error
 from ritzmesh.loads import reference_ritz
-from ritzmesh.problems import arctan1d, power1d
-from ritzmesh.training import write_csv
+from ritzmesh.network import lecun_init
+from ritzmesh.pipeline import evaluate_mesh, evaluate_uniform
+from ritzmesh.problems import arctan1d, make_problem, power1d
+from ritzmesh.sampling import default_axes, split_train_test
+from ritzmesh.training import History, ParametricRun, write_csv
 
 
 class TestFitRate:
@@ -91,6 +95,36 @@ class TestReports:
             assert all(np.isfinite(v) and v >= 0 for v in row[1:])
             assert row[1] <= row[2]  # mean <= max
             assert row[3] <= row[4]
+
+
+def _reference_error_report(run):
+    """The report as two single-problem chains per tuple."""
+    out = {}
+    for label, idx in (("train", run.grid.train_idx), ("test", run.grid.test_idx)):
+        report = ErrorReport()
+        for sigma in run.grid.tuples[idx]:
+            sig = tuple(sigma)
+            problem = run.problem_for(sig)
+            j_exact = reference_ritz(problem)
+            report.adaptive[sig] = relative_error(
+                evaluate_mesh(problem, run.mesh_for(sig)).J, j_exact)
+            report.uniform[sig] = relative_error(evaluate_uniform(problem).J, j_exact)
+        out[label] = report
+    return out
+
+
+@pytest.mark.parametrize("family,counts,n", [("arctan1d", (6, 5), 16),
+                                             ("arctan2d", (3, 3, 2), 4)])
+def test_report_matches_single_problem_chains(family, counts, n):
+    grid = split_train_test(default_axes(family, counts=counts), seed=1)
+    probe = make_problem(family, sigma=tuple(grid.tuples[0]), n_elements=n)
+    params = lecun_init(len(grid.axes), probe.theta_size, seed=2)
+    run = ParametricRun(params=params, history=History(columns=()), grid=grid,
+                        family=family, n_elements=n)
+    reports, expected = parametric_error_report(run), _reference_error_report(run)
+    for label in ("train", "test"):
+        assert reports[label] == expected[label]
+        assert list(reports[label].adaptive) == list(expected[label].adaptive)
 
 
 class TestCsvFormat:

@@ -147,6 +147,16 @@ class TestSolvePaths:
         assert np.linalg.norm(rep.c - ref) <= 1e-12 * np.linalg.norm(ref)
         assert rep.residual_norm <= RESIDUAL_TOL * np.linalg.norm(system.ell)
 
+    @pytest.mark.parametrize("offsets,ran", [((-1, 0, 1), "splu"), ((-2, 0, 2), "cg")])
+    def test_auto_cg_only_above_limit_and_not_tridiagonal(self, offsets, ran):
+        n = 20001
+        B = sp.diags([-np.ones(n - offsets[2]), np.full(n, 4.0), -np.ones(n - offsets[2])],
+                     offsets, format="csr")
+        ell = np.linspace(1.0, 2.0, n)
+        rep = solve_spd(_system(B, ell))
+        assert rep.method == ran
+        assert rep.residual_norm <= RESIDUAL_TOL * np.linalg.norm(ell)
+
     def test_indefinite_pentadiagonal_raises(self, monkeypatch):
         # symmetric and nonsingular, so LU would solve it; Cholesky must not
         n = 12

@@ -140,8 +140,8 @@ def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batc
     exact = {tuple(s): ld.reference_ritz(make_problem(family, sigma=tuple(s),
                                                       n_elements=n_elements))
              for s in grid.tuples[grid.monitor_idx]}
-    run = ParametricRun(params=params, state=state, history=history, grid=grid,
-                        family=family, n_elements=n_elements, uniform_refs=refs)
+    run = ParametricRun(params=params, history=history, grid=grid, family=family,
+                        n_elements=n_elements)
 
     def monitor_error():
         errs = []
