@@ -1,5 +1,6 @@
 """Stiffness/load assembly and its derivative with respect to node positions.
 
+A mesh is read through its axes, x first; 1D is the one-axis case.
 Elements are piecewise-linear intervals (1D) or bilinear quadrilaterals
 on axis-aligned rectangles (2D).  The assembled system is restricted to
 the free degrees of freedom; Dirichlet labeling is recomputed from the
@@ -32,8 +33,9 @@ from .mesh import Mesh1D, TensorMesh2D
 
 COORD_TOL = 1e-12
 
-BOUNDARY_SPECS_1D = ("left", "both")
-BOUNDARY_SPECS_2D = ("left-bottom", "all", "lshape")
+#: boundary spec -> (number of axes, Dirichlet at the upper ends as well as the lower)
+BOUNDARY_SPECS = {"left": (1, False), "both": (1, True), "left-bottom": (2, False),
+                  "all": (2, True), "lshape": (2, True)}
 
 # Bilinear reference stiffness blocks on the unit square, local node
 # order counterclockwise from lower-left: K = coeff * (hy/hx Ax + hx/hy Ay).
@@ -72,9 +74,9 @@ class DofLabeling:
 class MaterialField:
     """Piecewise-constant coefficient: (axis-aligned region, value) pairs.
 
-    Regions are (lo, hi) in 1D and (x0, x1, y0, y1) in 2D; everywhere
-    else the coefficient takes the default value.  Lookup is by element
-    midpoint, so region boundaries must coincide with mesh lines.
+    Regions are (lo, hi) per axis, x first: (x0, x1, y0, y1) in 2D;
+    everywhere else the coefficient takes the default value.  Lookup is
+    by element midpoint, so region boundaries must coincide with mesh lines.
     """
 
     regions: tuple = ()
@@ -87,16 +89,15 @@ class MaterialField:
         if not np.all(np.asarray(self.default) > 0):
             raise ValueError("material default must be strictly positive")
 
-    def value_at_1d(self, x):
-        out = np.full_like(np.asarray(x, dtype=float), self.default)
-        for (lo, hi), value in self.regions:
-            out = np.where((x >= lo) & (x <= hi), value, out)
-        return out
-
-    def value_at_2d(self, x, y):
-        out = np.full(np.broadcast(x, y).shape, self.default)
-        for (x0, x1, y0, y1), value in self.regions:
-            out = np.where((x >= x0) & (x <= x1) & (y >= y0) & (y <= y1), value, out)
+    def value_at(self, *coords):
+        """The coefficient at points given by one coordinate array per axis,
+        broadcast against each other."""
+        out = np.full(np.broadcast(*coords).shape, self.default)
+        for region, value in self.regions:
+            inside = True
+            for x, lo, hi in zip(coords, region[::2], region[1::2]):
+                inside = inside & (x >= lo) & (x <= hi)
+            out = np.where(inside, value, out)
         return out
 
     def interface_coords(self, axis):
@@ -132,27 +133,20 @@ def label_dirichlet(mesh, spec: str) -> DofLabeling:
     2D specs: 'left-bottom', 'all', and 'lshape' (all boundary nodes
     plus every node with x >= 0.5 - tol and y <= 0.5 + tol).
     """
-    if isinstance(mesh, Mesh1D):
-        if spec not in BOUNDARY_SPECS_1D:
-            raise ConfigurationError(f"unknown 1D boundary spec {spec!r}")
-        x = mesh.nodes
-        a, b = x[0], x[-1]
-        mask = x <= a + COORD_TOL
-        if spec == "both":
-            mask |= x >= b - COORD_TOL
-    elif isinstance(mesh, TensorMesh2D):
-        if spec not in BOUNDARY_SPECS_2D:
-            raise ConfigurationError(f"unknown 2D boundary spec {spec!r}")
-        # a row and a column broadcast to the node grid, x fastest
-        x, y = mesh.mesh_x.nodes, mesh.mesh_y.nodes[:, None]
-        mask = (x <= x[0] + COORD_TOL) | (y <= y[0] + COORD_TOL)
-        if spec != "left-bottom":
-            mask |= (x >= x[-1] - COORD_TOL) | (y >= y[-1] - COORD_TOL)
-            if spec == "lshape":
-                mask |= (x >= 0.5 - COORD_TOL) & (y <= 0.5 + COORD_TOL)
-        mask = mask.ravel()
-    else:
-        raise TypeError(f"unsupported mesh type {type(mesh)!r}")
+    n_axes, upper = BOUNDARY_SPECS.get(spec, (None, False))
+    if n_axes != len(mesh.axes):
+        raise ConfigurationError(f"unknown {len(mesh.axes)}D boundary spec {spec!r}")
+    # axis i's nodes along array axis -1 - i, so the raveled grid is x fastest
+    coords = [m.nodes.reshape((-1,) + (1,) * i) for i, m in enumerate(mesh.axes)]
+    mask = False
+    for x in coords:
+        mask = mask | (x <= x[0] + COORD_TOL)
+        if upper:
+            mask = mask | (x >= x[-1] - COORD_TOL)
+    if spec == "lshape":
+        x, y = coords
+        mask = mask | (x >= 0.5 - COORD_TOL) & (y <= 0.5 + COORD_TOL)
+    mask = mask.ravel()
     idx = np.arange(mask.size)
     dirichlet = idx[mask]
     free = idx[~mask]
@@ -160,8 +154,7 @@ def label_dirichlet(mesh, spec: str) -> DofLabeling:
 
 
 def _check_material_resolved(mesh, material: MaterialField):
-    axes = [mesh.nodes] if isinstance(mesh, Mesh1D) else [mesh.mesh_x.nodes, mesh.mesh_y.nodes]
-    for axis, nodes in enumerate(axes):
+    for axis, nodes in enumerate(m.nodes for m in mesh.axes):
         lo, hi = nodes[0], nodes[-1]
         for coord in material.interface_coords(axis):
             if coord <= lo + COORD_TOL or coord >= hi - COORD_TOL:
@@ -227,14 +220,13 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     """
     _check_material_resolved(mesh, material)
     if isinstance(mesh, Mesh1D):
-        grid_shape = (mesh.n_elements,)
         K = _element_stiffness_1d(mesh.nodes, material)
         x = mesh.nodes
         rhs = ld.node_loads(*ld.hat_loads(load, x[:-1], x[1:]), load.bind("flux")())
     else:
-        grid_shape = (mesh.mesh_x.n_elements, mesh.mesh_y.n_elements)
         K = _element_stiffness_2d(mesh, material)
         rhs = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
+    grid_shape = tuple(m.n_elements for m in mesh.axes)
     indptr, indices, data = _scatter_stiffness(K, grid_shape, labeling.free)
     B = sp.csr_matrix((data, indices, indptr), shape=(labeling.n_free, labeling.n_free))
     B.has_canonical_format = True
@@ -275,7 +267,7 @@ def _element_stiffness_1d(x, material: MaterialField):
     """Element matrices (E, 2, 2): coeff/h [[1, -1], [-1, 1]], on nodes x
     or on each row of (K, M) nodes."""
     mid = 0.5 * (x[..., :-1] + x[..., 1:])
-    k = material.value_at_1d(mid) / np.diff(x)
+    k = material.value_at(mid) / np.diff(x)
     return k[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -285,7 +277,7 @@ def _element_stiffness_2d(mesh: TensorMesh2D, material: MaterialField):
     broadcast to the (ny, nx) element grid."""
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes[:, None]
     hx, hy = np.diff(xs), np.diff(ys, axis=0)
-    coeff = material.value_at_2d(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
+    coeff = material.value_at(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
     K = (coeff * (hy / hx))[..., None, None] * _AX + (coeff * (hx / hy))[..., None, None] * _AY
     return K.reshape(-1, 4, 4)
 
@@ -301,12 +293,12 @@ def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: Materia
     computed too and zeroed later by the mesh pullback.  The Neumann
     point loads sit at the fixed end b and do not move.
 
-    Returns a vector over the 1D nodes, or a pair (grad_x, grad_y) over
-    the two axes' node coordinates in 2D.
+    Returns one gradient per axis of the mesh, over that axis's node
+    coordinates: (grad,) in 1D and (grad_x, grad_y) in 2D.
     """
     c_full = labeling.full_vector(c_free)
     if isinstance(mesh, Mesh1D):
-        return contraction_1d(mesh.nodes, material, load, c_full)
+        return (contraction_1d(mesh.nodes, material, load, c_full),)
     return _contraction_2d(mesh, material, load, c_full)
 
 
@@ -325,7 +317,7 @@ def contraction_1d(x, material, load, c_full, values=None):
     each row of (K, M) arrays with a stacked load (loads.stack_loads);
     values are the hat loads of x when the caller has them."""
     h = np.diff(x)
-    coeff = material.value_at_1d(0.5 * (x[..., :-1] + x[..., 1:]))
+    coeff = material.value_at(0.5 * (x[..., :-1] + x[..., 1:]))
     dc = c_full[..., 1:] - c_full[..., :-1]
     # stiffness part: d/dh of coeff/(2h) (c_r - c_l)^2
     s = -coeff * dc * dc / (2.0 * h * h)
@@ -343,7 +335,7 @@ def _contraction_2d(mesh, material, load, c_full):
     # the stiffness part on the (ny, nx) element grid, x nodes as a row
     # and y nodes as a column, element corners counterclockwise
     hx, hy = np.diff(xs), np.diff(ys)[:, None]
-    coeff = material.value_at_2d(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])[:, None])
+    coeff = material.value_at(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])[:, None])
     C = c_full.reshape(ys.size, xs.size)
     Ce = np.stack([C[:-1, :-1], C[:-1, 1:], C[1:, 1:], C[1:, :-1]], axis=-1).reshape(-1, 4)
     a = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AX, Ce).reshape(coeff.shape)

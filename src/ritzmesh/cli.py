@@ -125,11 +125,9 @@ def cmd_adapt(cfg, out, seed):
         iterations=_value("iterations", cfg.get("iterations", 1000), lo=0),
     )
     history.write_csv(os.path.join(out, "history.csv"))
-    mesh = problem.build_mesh(theta)
+    nodes = np.concatenate([m.nodes for m in problem.build_mesh(theta).axes])
     experiments.write_csv(os.path.join(out, "theta.csv"), ("theta",),
                           [(t,) for t in theta])
-    nodes = mesh.nodes if problem.dim == 1 else np.concatenate(
-        [mesh.mesh_x.nodes, mesh.mesh_y.nodes])
     experiments.write_csv(os.path.join(out, "nodes.csv"), ("node",),
                           [(x,) for x in nodes])
     last = history.rows[-1]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .assembly import assembly_gradient_contraction
 from .errors import InconsistentReferenceError
-from .mesh import Mesh1D, mesh_pullback
+from .mesh import mesh_pullback
 
 #: negative radicand larger than this (in energy units) signals inexact
 #: integration rather than roundoff
@@ -82,15 +82,8 @@ def ritz_gradient(problem, mesh, labeling, c_free, scale=1.0):
     the mesh construction to the logits.  For a balanced loss, pass
     scale = 1/|J_uniform_ref|.  Returns the gradient over the logits
     (theta in the direct mode, the network output in parametric mode);
-    in 2D the x-axis block precedes the y-axis block.
+    one block per axis, x first.
     """
-    grad_nodes = assembly_gradient_contraction(
-        mesh, labeling, problem.material, problem.load, c_free)
-    if isinstance(mesh, Mesh1D):
-        g = mesh_pullback(grad_nodes, mesh.record, problem.mesh_params(None))
-        return scale * g
-    params_x, params_y = problem.mesh_params(None)
-    gx, gy = grad_nodes
-    gtx = mesh_pullback(gx, mesh.mesh_x.record, params_x)
-    gty = mesh_pullback(gy, mesh.mesh_y.record, params_y)
-    return scale * np.concatenate([gtx, gty])
+    grads = assembly_gradient_contraction(mesh, labeling, problem.material, problem.load, c_free)
+    return scale * np.concatenate([mesh_pullback(g, m.record, p) for g, m, p in
+                                   zip(grads, mesh.axes, problem.mesh_params())])

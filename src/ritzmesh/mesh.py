@@ -8,8 +8,8 @@ lines) are merged in by sorting.  The construction is recorded so that
 gradients with respect to the sorted node coordinates can be pulled
 back to gradients with respect to the logits.
 
-2D meshes are tensor products of two independently parameterized 1D
-meshes.
+A mesh is read through its ``axes``, x first: a Mesh1D is the one-axis
+case, a TensorMesh2D the tensor product of two such axes.
 """
 
 from dataclasses import dataclass, field
@@ -93,6 +93,10 @@ class Mesh1D:
     def lengths(self):
         return np.diff(self.nodes)
 
+    @property
+    def axes(self):
+        return (self,)
+
     @classmethod
     def from_nodes(cls, nodes):
         """Wrap explicit node coordinates (no pullback possible)."""
@@ -111,12 +115,8 @@ class TensorMesh2D:
     mesh_y: Mesh1D
 
     @property
-    def n_nodes(self):
-        return self.mesh_x.nodes.size * self.mesh_y.nodes.size
-
-    @property
-    def n_elements(self):
-        return self.mesh_x.n_elements * self.mesh_y.n_elements
+    def axes(self):
+        return (self.mesh_x, self.mesh_y)
 
 
 def softmax_partition(theta):
@@ -171,10 +171,6 @@ def softmax_nodes(theta, params: MeshParams1D):
     nodes = np.take_along_axis(unsorted, order, axis=-1)
     return nodes, ConstructionRecord(order=order, n_adaptive=n, adaptive=order <= n,
                                      delta=delta)
-
-
-def build_tensor_mesh_2d(params_x: MeshParams1D, params_y: MeshParams1D) -> TensorMesh2D:
-    return TensorMesh2D(mesh_x=build_mesh_1d(params_x), mesh_y=build_mesh_1d(params_y))
 
 
 def mesh_pullback(grad_nodes, record: ConstructionRecord, params: MeshParams1D):

@@ -112,7 +112,7 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
     if first.dim == 2:
         _evaluate_each(problems, logits, scales, out)
         return out
-    params = first.mesh_params(None)
+    (params,) = first.mesh_params()
     if logits is None:
         out.nodes = np.repeat(first.uniform_mesh().nodes[None], K, axis=0)
     else:
@@ -127,17 +127,14 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
     values = ld.hat_loads(load, x[:, :-1], x[:, 1:])
     flux = np.array([[problems[k].load.bind("flux")()] for k in live])
     c_full = _solve_1d(first.boundary, x, material, ld.node_loads(*values, flux), live, out)
-    solved = np.flatnonzero(out.kept[live])
+    solved = live[out.kept[live]]
     if scales is None or solved.size == 0:
         return out
-    if solved.size < live.size:
-        material = stack_materials([problems[k].material for k in live[solved]])
-        load = ld.stack_loads([problems[k].load for k in live[solved]])
-        values = tuple(v[solved] for v in values)
+    # rows are independent and a failed solve leaves c zero, so every live row is contracted
     grad_nodes = np.zeros_like(out.nodes)
-    grad_nodes[live[solved]] = contraction_1d(x[solved], material, load, c_full[solved], values)
+    grad_nodes[live] = contraction_1d(x, material, load, c_full, values)
     grad = np.asarray(scales, dtype=float)[:, None] * mesh_pullback(grad_nodes, record, params)
-    out.grad[live[solved]] = grad[live[solved]]
+    out.grad[solved] = grad[solved]
     return out
 
 

@@ -11,18 +11,21 @@ Five families, each a Poisson-type boundary-value problem on (0,1) or
 
 A ProblemSpec bundles the domain, boundary spec, material field, load
 and the per-axis fixed nodes; factories below fill in the manufactured
-data for each family.  Neumann data belong to the load: its family's
-flux at the right end b of each axis.
+data for each family.  A problem is a tuple of axes, x first, each with
+its interval, fixed nodes and block of logits; 1D is the one-axis case.
+Neumann data belong to the load: its family's flux at the right end b
+of each axis.
 """
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from . import loads as ld
 from .assembly import MaterialField
 from .errors import ConfigurationError
-from .mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d, build_tensor_mesh_2d
+from .mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d
 
 
 @dataclass(frozen=True)
@@ -46,64 +49,58 @@ class ProblemSpec:
         if self.dim == 2 and (len(fixed) != 2 or not all(isinstance(f, tuple) for f in fixed)):
             raise ConfigurationError("2D problems need per-axis fixed node tuples")
 
-    def _axis_fixed(self, axis):
-        if self.dim == 1:
-            return np.asarray(self.fixed_nodes, dtype=float)
-        return np.asarray(self.fixed_nodes[axis], dtype=float)
+    def _axis_fixed(self):
+        """Fixed interior nodes per axis, x first; a 1D spec stores one flat tuple."""
+        per_axis = (self.fixed_nodes,) if self.dim == 1 else self.fixed_nodes
+        return [np.asarray(f, dtype=float) for f in per_axis]
 
     def n_logits(self, axis=0):
         """Softmax chain length so the axis has exactly n_elements elements."""
-        n = self.n_elements - self._axis_fixed(axis).size
+        n = self.n_elements - self._axis_fixed()[axis].size
         if n < 1:
             raise ConfigurationError("n_elements leaves no adaptive freedom")
         return n
 
     @property
     def theta_size(self):
-        if self.dim == 1:
-            return self.n_logits(0)
-        return self.n_logits(0) + self.n_logits(1)
+        return sum(self.n_logits(axis) for axis in range(self.dim))
 
     def mesh_params(self, theta=None):
-        """MeshParams1D (or an (x, y) pair) from a flat logit vector."""
-        if self.dim == 1:
-            t = np.zeros(self.n_logits(0)) if theta is None else np.asarray(theta, dtype=float)
-            return MeshParams1D(theta=t, fixed_interior=self._axis_fixed(0),
-                                interval=self.domain[0])
-        nx, ny = self.n_logits(0), self.n_logits(1)
-        t = np.zeros(nx + ny) if theta is None else np.asarray(theta, dtype=float)
-        if t.size != nx + ny:
-            raise ValueError(f"theta has size {t.size}, expected {nx + ny}")
-        px = MeshParams1D(theta=t[:nx], fixed_interior=self._axis_fixed(0),
-                          interval=self.domain[0])
-        py = MeshParams1D(theta=t[nx:], fixed_interior=self._axis_fixed(1),
-                          interval=self.domain[1])
-        return px, py
+        """One MeshParams1D per axis, x first, from a flat logit vector
+        holding the axes' blocks in that order."""
+        sizes = [self.n_logits(axis) for axis in range(self.dim)]
+        t = np.zeros(sum(sizes)) if theta is None else np.asarray(theta, dtype=float)
+        if t.size != sum(sizes):
+            raise ValueError(f"theta has size {t.size}, expected {sum(sizes)}")
+        blocks = [t[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+        return tuple(MeshParams1D(theta=block, fixed_interior=fixed, interval=interval)
+                     for block, fixed, interval in zip(blocks, self._axis_fixed(), self.domain))
 
     def build_mesh(self, theta=None):
-        if self.dim == 1:
-            return build_mesh_1d(self.mesh_params(theta))
-        return build_tensor_mesh_2d(*self.mesh_params(theta))
+        return _mesh_of([build_mesh_1d(p) for p in self.mesh_params(theta)])
 
     def uniform_mesh(self):
         """The equispaced reference mesh of the same size."""
         n = self.n_elements
         axes = []
-        for axis in range(self.dim):
-            a, b = self.domain[axis if self.dim == 2 else 0]
+        for (a, b), fixed in zip(self.domain, self._axis_fixed()):
             nodes = np.linspace(a, b, n + 1)
-            for f in self._axis_fixed(axis):
+            for f in fixed:
                 if np.min(np.abs(nodes - f)) > 1e-12 * (b - a):
                     raise ConfigurationError(
                         f"uniform mesh with {n} elements misses the fixed node at {f}"
                     )
             axes.append(Mesh1D.from_nodes(nodes))
-        if self.dim == 1:
-            return axes[0]
-        return TensorMesh2D(mesh_x=axes[0], mesh_y=axes[1])
+        return _mesh_of(axes)
 
     def with_n(self, n_elements):
         return replace(self, n_elements=int(n_elements))
+
+
+def _mesh_of(axes):
+    """The mesh whose axes are the given 1D meshes: the one axis itself,
+    or their tensor product."""
+    return axes[0] if len(axes) == 1 else TensorMesh2D(*axes)
 
 
 def arctan1d(alpha=10.0, s=0.5, n_elements=32, mode="exact", order=2):

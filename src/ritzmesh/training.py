@@ -148,7 +148,7 @@ def train_parametric(family, grid: ParamGrid, n_elements, schedule=((0, 1e-2),),
     """
     needed = np.union1d(grid.train_idx, grid.monitor_idx)
     refs = uniform_reference_energies(family, grid, n_elements, indices=needed)
-    sigmas = {i: tuple(grid.tuples[i]) for i in needed}
+    sigmas = {i: tuple(grid.tuples[i].tolist()) for i in needed}
     problems = {i: make_problem(family, sigma=sigmas[i], n_elements=n_elements) for i in needed}
     inputs = {i: grid.encode(sigmas[i]) for i in needed}
     params = lecun_init(len(grid.axes), problems[needed[0]].theta_size, seed=seed)

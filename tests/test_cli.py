@@ -226,3 +226,18 @@ class TestExitCodes:
                           {"problem": "arctan1d", "N": 8, "iterations": 5})
         assert main(["adapt", "--config", cfg, "--preset", "arctan1d-adapt",
                      "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_cli_matrix_exits_zero(tmp_path):
+    """scripts/cli_matrix.py runs every command at desk scale; each exits 0."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "cli_matrix.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "matrix")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    codes = {p.parent.name: p.read_text() for p in (tmp_path / "matrix").glob("*/exit_code")}
+    assert len(codes) == 15
+    assert set(codes.values()) == {"0\n"}

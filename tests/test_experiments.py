@@ -127,6 +127,56 @@ def test_report_matches_single_problem_chains(family, counts, n):
         assert list(reports[label].adaptive) == list(expected[label].adaptive)
 
 
+def test_report_skips_failed_tuples(tmp_path, caplog):
+    """A tuple whose adapted or uniform solve fails is logged and left out
+    of both columns, as training skips it; the CLI exits 0."""
+    import dataclasses
+    import json
+    import logging
+
+    from ritzmesh.cli import EXIT_OK, build_grid, main
+    from ritzmesh.errors import DegenerateMeshError, SolverError
+    from ritzmesh.training import load_checkpoint
+
+    grid_cfg = {"problem": "arctan1d", "N": 8, "grid": {"counts": [6, 5]}}
+    train_cfg = dict(grid_cfg, epochs=2, batch=10, schedule=[[0, 0.3]])
+    report_cfg = dict(grid_cfg, checkpoint=str(tmp_path / "train" / "checkpoint.npz"))
+    for name, cfg in (("train", train_cfg), ("report", report_cfg)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    with caplog.at_level(logging.WARNING, logger="ritzmesh.experiments"):
+        for name in ("train", "report"):
+            assert main([name, "--config", str(tmp_path / f"{name}.json"), "--seed", "5",
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+    skipped = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("skipping sigma=")]
+    assert len(skipped) == 2
+
+    grid = build_grid(grid_cfg, "arctan1d", 5)
+    run = ParametricRun(params=load_checkpoint(report_cfg["checkpoint"])[0],
+                        history=History(columns=()), grid=grid, family="arctan1d",
+                        n_elements=8)
+
+    def kept(idx):
+        out = []
+        for i in idx:
+            sig = tuple(grid.tuples[i])
+            try:
+                evaluate_mesh(run.problem_for(sig), run.mesh_for(sig))
+                evaluate_uniform(run.problem_for(sig))
+            except (DegenerateMeshError, SolverError):
+                continue
+            out.append(i)
+        return np.array(out, dtype=grid.train_idx.dtype)
+
+    kept_grid = dataclasses.replace(grid, train_idx=kept(grid.train_idx),
+                                    test_idx=kept(grid.test_idx))
+    assert kept_grid.train_idx.size + kept_grid.test_idx.size == grid.tuples.shape[0] - 2
+    expected = report_rows(_reference_error_report(dataclasses.replace(run, grid=kept_grid)))
+    lines = (tmp_path / "report" / "error_report.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    assert [(r[0], *map(float, r[1:])) for r in rows] == expected
+
+
 class TestCsvFormat:
     def test_seventeen_significant_digits(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -9,8 +9,8 @@ from ritzmesh.errors import DegenerateMeshError
 from ritzmesh.mesh import (
     Mesh1D,
     MeshParams1D,
+    TensorMesh2D,
     build_mesh_1d,
-    build_tensor_mesh_2d,
     mesh_pullback,
     softmax_partition,
 )
@@ -112,14 +112,15 @@ class TestBuildMesh1D:
 
 class TestTensorMesh2D:
     def test_uniform_grid(self):
-        mesh = build_tensor_mesh_2d(
-            MeshParams1D(theta=np.zeros(3)), MeshParams1D(theta=np.zeros(3)))
-        assert mesh.n_nodes == 16
-        assert mesh.n_elements == 9
+        mesh = TensorMesh2D(
+            build_mesh_1d(MeshParams1D(theta=np.zeros(3))),
+            build_mesh_1d(MeshParams1D(theta=np.zeros(3))))
+        assert [m.nodes.size for m in mesh.axes] == [4, 4]
+        assert [m.n_elements for m in mesh.axes] == [3, 3]
 
     def test_per_axis_heights(self):
         py = MeshParams1D(theta=np.array([1.0, 0.0, 0.0]))
-        mesh = build_tensor_mesh_2d(MeshParams1D(theta=np.zeros(3)), py)
+        mesh = TensorMesh2D(build_mesh_1d(MeshParams1D(theta=np.zeros(3))), build_mesh_1d(py))
         e = np.e
         np.testing.assert_allclose(
             mesh.mesh_y.lengths, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)], rtol=1e-14)
@@ -128,7 +129,7 @@ class TestTensorMesh2D:
     def test_fixed_line_collision(self):
         px = MeshParams1D(theta=np.zeros(4), fixed_interior=np.array([0.5]))
         with pytest.raises(DegenerateMeshError):
-            build_tensor_mesh_2d(px, MeshParams1D(theta=np.zeros(4)))
+            TensorMesh2D(build_mesh_1d(px), build_mesh_1d(MeshParams1D(theta=np.zeros(4))))
 
 
 class TestMeshPullback:

@@ -69,6 +69,12 @@ class TestProblemSpec:
         np.testing.assert_array_equal(px.theta, theta[:5])
         np.testing.assert_array_equal(py.theta, theta[5:])
 
+    @pytest.mark.parametrize("make, expected", [(lambda: arctan1d(n_elements=8), 8),
+                                                (lambda: lshape(n_elements=8), 14)])
+    def test_theta_size_checked(self, make, expected):
+        with pytest.raises(ValueError, match=f"theta has size 5, expected {expected}"):
+            make().build_mesh(np.zeros(5))
+
     def test_build_mesh_matches_uniform_at_zero_logits(self):
         p = arctan1d(n_elements=8)
         np.testing.assert_allclose(p.build_mesh(None).nodes,

@@ -111,6 +111,16 @@ class TestParametric:
                                    monitor_every=1000)
         assert run.epochs_done == 2
 
+    def test_skip_messages_print_plain_floats(self, small_grid, caplog):
+        import logging
+        with caplog.at_level(logging.WARNING, logger="ritzmesh.training"):
+            train_parametric("arctan1d", small_grid, 8, schedule=[(0, 5.0)], epochs=2,
+                             batch=5, seed=0, monitor_every=1000)
+        skipped = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("skipping sigma=")]
+        assert skipped
+        assert not any("np.float64" in m for m in skipped)
+
 
 def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batch, seed,
                                 monitor_every, checkpoint_path):
@@ -150,7 +160,7 @@ def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batc
             try:
                 ev = evaluate_mesh(run.problem_for(sig), run.mesh_for(sig))
             except (DegenerateMeshError, SolverError) as exc:
-                logger.warning("monitor skipped sigma=%s: %s", sig, exc)
+                logger.warning("monitor skipped sigma=%s: %s", tuple(sigma.tolist()), exc)
                 continue
             errs.append(relative_error(ev.J, exact[sig]))
         return float(np.mean(errs)) if errs else float("nan")
@@ -173,7 +183,7 @@ def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batc
                     ev = evaluate(problem, logits)
                 except (DegenerateMeshError, SolverError) as exc:
                     logger.warning("skipping sigma=%s at iteration %d: %s",
-                                   sigma, iteration, exc)
+                                   tuple(grid.tuples[idx].tolist()), iteration, exc)
                     continue
                 ref = refs[sigma]
                 losses.append(balanced_ritz(ev.J, ref))
