@@ -133,33 +133,43 @@ def label_dirichlet(mesh, spec: str) -> DofLabeling:
     2D specs: 'left-bottom', 'all', and 'lshape' (all boundary nodes
     plus every node with x >= 0.5 - tol and y <= 0.5 + tol).
     """
-    n_axes, upper = BOUNDARY_SPECS.get(spec, (None, False))
-    if n_axes != len(mesh.axes):
-        raise ConfigurationError(f"unknown {len(mesh.axes)}D boundary spec {spec!r}")
     # axis i's nodes along array axis -1 - i, so the raveled grid is x fastest
-    coords = [m.nodes.reshape((-1,) + (1,) * i) for i, m in enumerate(mesh.axes)]
+    mask = _dirichlet_mask([m.nodes.reshape((-1,) + (1,) * i) for i, m in enumerate(mesh.axes)],
+                           spec).ravel()
+    return _labeling(mask)
+
+
+def _dirichlet_mask(coords, spec):
+    """Dirichlet mask over node arrays, axis i's coordinates coords[i]
+    along array axis -1 - i; leading array axes stack meshes."""
+    n_axes, upper = BOUNDARY_SPECS.get(spec, (None, False))
+    if n_axes != len(coords):
+        raise ConfigurationError(f"unknown {len(coords)}D boundary spec {spec!r}")
     mask = False
-    for x in coords:
-        mask = mask | (x <= x[0] + COORD_TOL)
+    for i, x in enumerate(coords):
+        mask = mask | (x <= x.take([0], axis=-1 - i) + COORD_TOL)
         if upper:
-            mask = mask | (x >= x[-1] - COORD_TOL)
+            mask = mask | (x >= x.take([-1], axis=-1 - i) - COORD_TOL)
     if spec == "lshape":
         x, y = coords
         mask = mask | (x >= 0.5 - COORD_TOL) & (y <= 0.5 + COORD_TOL)
-    mask = mask.ravel()
+    return mask
+
+
+def _labeling(mask):
     idx = np.arange(mask.size)
-    dirichlet = idx[mask]
-    free = idx[~mask]
-    return DofLabeling(free=free, dirichlet=dirichlet, n_nodes=mask.size)
+    return DofLabeling(free=idx[~mask], dirichlet=idx[mask], n_nodes=mask.size)
 
 
-def _check_material_resolved(mesh, material: MaterialField):
-    for axis, nodes in enumerate(m.nodes for m in mesh.axes):
-        lo, hi = nodes[0], nodes[-1]
+def _check_material_resolved(axes_nodes, material: MaterialField):
+    """Every interior material interface must lie on a mesh line, on each
+    axis's nodes, or on each row of (K, M) nodes in 1D."""
+    for axis, nodes in enumerate(axes_nodes):
+        lo, hi = nodes[..., :1], nodes[..., -1:]
         for coord in material.interface_coords(axis):
-            if coord <= lo + COORD_TOL or coord >= hi - COORD_TOL:
-                continue
-            if np.min(np.abs(nodes - coord)) > COORD_TOL:
+            at_end = (coord <= lo + COORD_TOL) | (coord >= hi - COORD_TOL)
+            off = np.min(np.abs(nodes - coord), axis=-1, keepdims=True) > COORD_TOL
+            if np.any(off & ~at_end):
                 raise ConfigurationError(
                     f"material interface at {coord} is not resolved by a mesh line"
                 )
@@ -218,7 +228,7 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     stiffness pattern comes from _scatter_pattern, cached per element
     grid and free set; each call computes element values only.
     """
-    _check_material_resolved(mesh, material)
+    _check_material_resolved([m.nodes for m in mesh.axes], material)
     if isinstance(mesh, Mesh1D):
         K = _element_stiffness_1d(mesh.nodes, material)
         x = mesh.nodes
@@ -235,18 +245,22 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
 
 def stiffness_batch_1d(x, boundary, material: MaterialField):
     """Label the meshes on the rows of (K, M) nodes x and assemble their
-    restricted stiffness matrices (material from stack_materials).
+    restricted stiffness matrices (material from stack_materials), as
+    label_dirichlet and assemble_system do per mesh, on the whole array.
     Returns (rows, labeling, indptr, indices, data) per free set, the
     (len(rows), nnz) data bitwise assemble_system's B.data per mesh."""
+    _check_material_resolved([x], material)
+    mask = _dirichlet_mask([x], boundary)
     groups = {}
-    for i, nodes in enumerate(x):
-        mesh = Mesh1D(nodes=nodes)
-        _check_material_resolved(mesh, material)
-        labeling = label_dirichlet(mesh, boundary)
-        groups.setdefault(labeling.free.tobytes(), (labeling, []))[1].append(i)
+    for i, row in enumerate(mask):
+        groups.setdefault(row.tobytes(), []).append(i)
     K = _element_stiffness_1d(x, material)
-    return [(rows, labeling) + _scatter_stiffness(K[rows], (x.shape[-1] - 1,), labeling.free)
-            for labeling, rows in groups.values()]
+    out = []
+    for rows in groups.values():
+        labeling = _labeling(mask[rows[0]])
+        out.append((rows, labeling) + _scatter_stiffness(K[rows], (x.shape[-1] - 1,),
+                                                         labeling.free))
+    return out
 
 
 def _scatter_stiffness(K, grid_shape, free):

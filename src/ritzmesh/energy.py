@@ -23,8 +23,12 @@ RADICAND_CLAMP = 1e-12
 
 def ritz_energy(system, c):
     """1/2 (B c) . c - ell . c, one SpMV and two dot products."""
-    Bc = system.B @ c
-    return 0.5 * (Bc @ c) - system.ell @ c
+    return ritz_energy_of(system.B @ c, system.ell, c)
+
+
+def ritz_energy_of(Bc, ell, c):
+    """ritz_energy from the product B c, for a solver that already formed it."""
+    return 0.5 * (Bc @ c) - ell @ c
 
 
 def balanced_ritz(J, J_uniform_ref):

@@ -6,23 +6,23 @@ gradient reuses the solved coefficients through the closed-form
 contraction and the mesh pullback.
 
 evaluate_batch runs the chain for K problems of one family and size.
-In 1D every step but the solve acts on (K, .) arrays, row k bitwise
-what the single-problem chain gives problem k; the solve loops over
-the rows.  2D batches loop over the single-problem chain.
+In 1D every step acts on (K, .) arrays, row k bitwise what the
+single-problem chain gives problem k; the rows that share a free set
+share one sparse LU factorization.  2D batches loop over the
+single-problem chain.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import loads as ld
 from .assembly import (DofLabeling, SparseSystem, assemble_system, contraction_1d,
                        label_dirichlet, stack_materials, stiffness_batch_1d)
-from .energy import ritz_energy, ritz_gradient
+from .energy import ritz_energy, ritz_energy_of, ritz_gradient
 from .errors import DegenerateMeshError, SolverError
 from .mesh import degenerate_rows, mesh_pullback, softmax_nodes
-from .solver import SolveReport, solve_spd, solve_splu
+from .solver import SolveReport, solve_spd, solve_splu_batch
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,19 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
 
 def _solve_1d(boundary, x, material, rhs, live, out):
     """Solve row i (batch row live[i]) on nodes x[i] with loads rhs[i],
-    recording its J, ell and c; returns c over all nodes.  Rows with one
-    free set share a CSC matrix whose values each row overwrites."""
+    recording its J, ell and c; returns c over all nodes.  The rows of
+    one free set go to one solve_splu_batch, bitwise one solve_splu per
+    row; the stiffness is symmetric, so its CSR arrays are its CSC arrays."""
     c_full = np.zeros_like(x)
     for rows, labeling, indptr, indices, data in stiffness_batch_1d(x, boundary, material):
-        A = sp.csc_matrix((data[0], indices, indptr), shape=(labeling.n_free,) * 2)
-        A.has_canonical_format = True   # symmetric: its CSR arrays are its CSC arrays
-        for i, values in zip(rows, data):
-            A.data = values
-            ell = rhs[i, labeling.free]
-            try:
-                report = solve_splu(A, ell)
-            except SolverError as exc:
-                out.errors[live[i]] = exc
+        ells = [rhs[i, labeling.free] for i in rows]
+        for i, ell, (result, Bc) in zip(rows, ells, solve_splu_batch(indptr, indices, data, ells)):
+            if isinstance(result, SolverError):
+                out.errors[live[i]] = result
                 continue
-            out.J[live[i]] = ritz_energy(SparseSystem(B=A, ell=ell, labeling=labeling), report.c)
-            out.ell[live[i]], out.c[live[i]] = ell, report.c
-            c_full[i, labeling.free] = report.c
+            out.J[live[i]] = ritz_energy_of(Bc, ell, result.c)
+            out.ell[live[i]], out.c[live[i]] = ell, result.c
+            c_full[i, labeling.free] = result.c
     return c_full
 
 

@@ -7,13 +7,17 @@ constants; nothing here is ever differentiated.
 The direct method factors a banded matrix with LAPACK's banded
 Cholesky (``cholesky_banded``).  Tensor-product meshes give every 2D
 system a fixed band of width Nx+1 in free-index order, so this is the
-path of every 2D system.  Tridiagonal (1D) systems and matrices whose
-band would be far larger than their nonzeros keep the general sparse
-LU (``splu``).  1D stays on ``splu`` on purpose: the parametric arctan
-runs amplify roundoff, and a banded 1D solve changes the coefficients
-in the last bit and, through training, the final errors recorded
-against this LU (whose COLAMD ordering permutes even a tridiagonal
-matrix, so no Thomas sweep reproduces it).  Conjugate gradients run
+path of every 2D system; it runs scipy's OpenBLAS on one thread,
+about twice as fast on these bands as two.  Tridiagonal (1D) systems
+and matrices whose band would be far larger than their nonzeros keep
+the general sparse LU (``splu``).  1D stays on ``splu`` on purpose:
+the parametric arctan runs amplify roundoff, and a banded 1D solve
+changes the coefficients in the last bit and, through training, the
+final errors recorded against this LU (whose COLAMD ordering permutes
+even a tridiagonal matrix, so no Thomas sweep reproduces it).  A batch
+of 1D systems on one pattern takes one ``splu`` of their block
+diagonal, each block in the column order ``splu`` picks for the
+pattern, bitwise one ``splu`` each.  Conjugate gradients run
 only on request or, in 'auto' mode, on systems above DIRECT_DOF_LIMIT
 that are not tridiagonal: a tridiagonal factor is cheap at any size.
 A direct solve that misses the residual contract is refined with its
@@ -22,10 +26,14 @@ Accuracy and Stability of Numerical Algorithms, ch. 12); the contract
 never loosens.
 """
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -108,13 +116,14 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
         return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0, method=method)
 
     if method == "banded-cholesky":
-        try:
-            factor = sla.cholesky_banded(_upper_band(B, offsets, kd), overwrite_ab=True,
-                                         check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"banded Cholesky failed: {exc}") from exc
-        return _refined(partial(sla.cho_solve_banded, (factor, False), check_finite=False),
-                        B, ell, ell_norm, method)
+        with _one_blas_thread():
+            try:
+                factor = sla.cholesky_banded(_upper_band(B, offsets, kd), overwrite_ab=True,
+                                             check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"banded Cholesky failed: {exc}") from exc
+            return _single(partial(sla.cho_solve_banded, (factor, False), check_finite=False),
+                           B, ell, ell_norm, method)
     if method == "splu":
         return solve_splu(B.tocsc(), ell)
 
@@ -145,32 +154,180 @@ def solve_splu(A, ell) -> SolveReport:
     if ell_norm == 0.0:
         return SolveReport(c=np.zeros(ell.size), residual_norm=0.0, iterations=0,
                            method="splu")
-    return _refined(_lu(A).solve, A, ell, ell_norm, "splu")
-
-
-def _lu(A):
     try:
-        return spla.splu(A)
+        lu = spla.splu(A)
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
+    return _single(lu.solve, A, ell, ell_norm, "splu")
 
 
-def _refined(solve, B, ell, ell_norm, method) -> SolveReport:
-    """c = solve(ell) with a factor of B, then c -= solve(B c - ell) while
-    the residual misses the contract, at most MAX_REFINEMENTS times: a
+def solve_splu_batch(indptr, indices, data, ells):
+    """solve_splu(A_g, ells[g]) for the G matrices A_g on one symmetric
+    canonical int32 CSC pattern (indptr, indices) with values data[g],
+    bitwise, from one ``splu`` of their block diagonal.
+
+    Returns per matrix (SolveReport, A_g c), or (the SolverError that
+    solve_splu raises, None).  Matrices with zero or non-finite loads,
+    and all of them if the block factor fails or pivots off the
+    diagonal, go through solve_splu one at a time.
+    """
+    n = len(indptr) - 1
+    norms = np.array([np.linalg.norm(ell) for ell in ells])
+    blocked = (norms > 0.0) & (norms < np.inf)
+    factor = _block_factor(indptr, indices, data) if blocked.any() else None
+    if factor is not None:
+        solved = _refined(*factor, np.concatenate(
+            [ell if ok else np.zeros(n) for ell, ok in zip(ells, blocked)]), norms, "splu")
+    out = []
+    for g, ell in enumerate(ells):
+        if factor is not None and blocked[g]:
+            out.append(solved[g])
+            continue
+        A = _csc(data[g], indices, indptr)
+        try:
+            report = solve_splu(A, ell)
+            out.append((report, A @ report.c))
+        except SolverError as exc:
+            out.append((exc, None))
+    return out
+
+
+def _block_factor(indptr, indices, data):
+    """(solve, B) for the block diagonal B of the matrices with values
+    data[g]: solve runs one natural-order ``splu`` of the blocks, each
+    permuted into the column order ``splu`` picks for the pattern.  None
+    if that factor fails or pivots off the diagonal, where the single
+    factors' arithmetic may differ."""
+    b_indptr, b_indices, p_indptr, p_indices, take, gather, scatter = _block_pattern(
+        np.asarray(indptr, dtype=np.int32).tobytes(),
+        np.asarray(indices, dtype=np.int32).tobytes(), len(data))
+    values = data.ravel()
+    try:
+        # splu's other defaults stay: they shape the supernodes, and so the arithmetic
+        lu = spla.splu(_csc(values[take], p_indices, p_indptr), permc_spec="NATURAL")
+    except RuntimeError:
+        return None
+    natural = np.arange(gather.size)
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        return None
+    return (lambda b: lu.solve(b[gather])[scatter]), _csc(values, b_indices, b_indptr)
+
+
+def _csc(data, indices, indptr):
+    A = sp.csc_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+    A.has_canonical_format = True
+    return A
+
+
+@lru_cache(maxsize=16)
+def _block_pattern(indptr_bytes, indices_bytes, G):
+    """Index arrays for the block diagonal of G matrices on one symmetric
+    int32 CSC pattern: its (indptr, indices); those of the blocks
+    permuted into the column order p that ``splu`` picks for the pattern
+    (block g holds A_g[q][:, q], q = argsort(p)) and the order take of
+    the raveled (G, nnz) values in them; gather and scatter, which move a
+    vector into and out of that order.  COLAMD and the etree postorder
+    read only the pattern, so any SPD matrix on it finds p.
+    """
+    indptr = np.frombuffer(indptr_bytes, dtype=np.int32)
+    indices = np.frombuffer(indices_bytes, dtype=np.int32)
+    n, nnz = indptr.size - 1, indices.size
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    # diagonally dominant: each column's entry count on the diagonal, -1 off it
+    p = spla.splu(_csc(np.where(indices == cols, np.diff(indptr)[cols], -1.0), indices,
+                       indptr)).perm_c
+    rows, cols = p[indices], p[cols]
+    take = np.lexsort((rows, cols))
+    shift = np.arange(G)[:, None]
+
+    def blocks(indptr, indices):
+        return (np.append((indptr[:-1] + nnz * shift).ravel(), G * nnz),
+                (indices + n * shift).ravel())
+
+    out = (*blocks(indptr, indices),
+           *blocks(np.append(0, np.cumsum(np.bincount(cols, minlength=n))), rows[take]),
+           (take + nnz * shift).ravel(), (np.argsort(p) + n * shift).ravel(),
+           (p + n * shift).ravel())
+    out = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in out)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _single(solve, B, ell, ell_norm, method) -> SolveReport:
+    ((report, _),) = _refined(solve, B, ell, [ell_norm], method)
+    if isinstance(report, SolverError):
+        raise report
+    return report
+
+
+def _refined(solve, B, ell, ell_norms, method):
+    """c = solve(ell) with a factor of the block diagonal B of
+    len(ell_norms) equal blocks, then c -= solve(B c - ell) on each block
+    whose residual misses the contract, at most MAX_REFINEMENTS times: a
     backward-stable solve of a graded system can miss it by a small
-    factor, which refinement with the same factor recovers."""
+    factor, which refinement with the same factor recovers.  Returns per
+    block (SolveReport, B c), or (SolverError, None) if it still misses."""
+    n = ell.size // len(ell_norms)
+    blocks = [slice(g * n, (g + 1) * n) for g in range(len(ell_norms))]
     c = solve(ell)
-    r = B @ c - ell
-    residual = float(np.linalg.norm(r))
-    refinements = 0
-    while residual > RESIDUAL_TOL * ell_norm and refinements < MAX_REFINEMENTS:
-        c = c - solve(r)
-        r = B @ c - ell
-        residual = float(np.linalg.norm(r))
-        refinements += 1
-    _check_residual(residual, ell_norm)
-    return SolveReport(c=c, residual_norm=residual, iterations=refinements, method=method)
+    refinements = [0] * len(blocks)
+    while True:
+        Bc = B @ c
+        r = Bc - ell
+        # each block's norm on its own 1-D array, as a single solve takes it
+        residuals = [float(np.linalg.norm(r[b].copy())) for b in blocks]
+        redo = [g for g, (residual, ell_norm, k)
+                in enumerate(zip(residuals, ell_norms, refinements))
+                if residual > RESIDUAL_TOL * ell_norm and k < MAX_REFINEMENTS]
+        if not redo:
+            break
+        rhs = np.zeros_like(r)
+        for g in redo:
+            rhs[blocks[g]] = r[blocks[g]]
+        d = solve(rhs)
+        for g in redo:
+            c[blocks[g]] -= d[blocks[g]]
+            refinements[g] += 1
+    out = []
+    for b, residual, k, ell_norm in zip(blocks, residuals, refinements, ell_norms):
+        try:
+            _check_residual(residual, ell_norm)
+            out.append((SolveReport(c=c[b].copy(), residual_norm=residual, iterations=k,
+                                    method=method), Bc[b].copy()))
+        except SolverError as exc:
+            out.append((exc, None))
+    return out
+
+
+def _thread_setter(libs):
+    """openblas_set_num_threads_local (it returns the calling thread's
+    previous count) of the libscipy_openblas library in directory libs,
+    or None if the library or the symbol is missing."""
+    try:
+        setter = ctypes.CDLL(str(next(Path(libs).glob("libscipy_openblas*.so"))))
+        setter = setter.openblas_set_num_threads_local
+    except (StopIteration, OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@lru_cache(maxsize=1)
+def _scipy_blas_threads():
+    return _thread_setter(Path(scipy.__file__).parent.parent / "scipy.libs")
+
+
+@contextmanager
+def _one_blas_thread():
+    """scipy's BLAS on one thread for the calling thread, then its count again."""
+    setter = _scipy_blas_threads()
+    previous = setter(1) if setter else None
+    try:
+        yield
+    finally:
+        if previous is not None:
+            setter(previous)
 
 
 def _check_load(ell):

@@ -8,6 +8,7 @@ last-bit differences past its recorded final errors.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ritzmesh import loads as ld
 from ritzmesh import pipeline, problems
@@ -148,3 +149,18 @@ def test_1d_batch_beyond_direct_limit_matches_single_problem_chain():
         assert batch.errors[k] is None
         assert batch.J[k] == ev.J
         np.testing.assert_array_equal(batch.grad[k], grad)
+
+
+def test_warm_batch_factors_once(monkeypatch):
+    # the rows of one free set share one block factor; per-row splu is
+    # only the fallback
+    rng = np.random.default_rng(11)
+    probs = [FAMILIES["arctan1d"](rng, 16) for _ in range(10)]
+    logits = rng.normal(0.0, 0.5, (10, 16))
+    pipeline.evaluate_batch(probs, logits, np.ones(10))
+    calls = []
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or real(*a, **k))
+    batch = pipeline.evaluate_batch(probs, logits, np.ones(10))
+    assert batch.kept.all()
+    assert calls == [{"permc_spec": "NATURAL"}]

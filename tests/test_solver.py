@@ -1,16 +1,23 @@
 """Linear solver contract."""
 
+import _ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ritzmesh.assembly import DofLabeling, SparseSystem
+from ritzmesh import solver
+from ritzmesh.assembly import DofLabeling, SparseSystem, assemble_system, label_dirichlet
+from ritzmesh.energy import ritz_energy, ritz_energy_of
 from ritzmesh.errors import SolverError
 from ritzmesh.pipeline import evaluate, evaluate_uniform
 from ritzmesh.problems import arctan1d, arctan2d, lshape, power1d, twomaterial1d
-from ritzmesh.solver import RESIDUAL_TOL, solve_spd
+from ritzmesh.solver import RESIDUAL_TOL, solve_splu, solve_splu_batch, solve_spd
 from ritzmesh.training import train_nonparametric
 
 
@@ -261,3 +268,158 @@ def sla_band(B):
     ab = np.zeros((kd + 1, B.shape[0]))
     ab[kd - offsets[upper], B.indices[upper]] = B.data[upper]
     return ab
+
+
+def _graded_747():
+    """TestRefinement's seed-747 arctan1d system, which one splu solves
+    just outside the contract."""
+    rng = np.random.default_rng(747)
+    problem = arctan1d(rng.uniform(1, 50), rng.uniform(0.2, 0.8), n_elements=16)
+    return evaluate(problem, rng.normal(0, rng.uniform(1, 6), problem.theta_size)).system
+
+
+def _csc(B):
+    A = B.tocsc()
+    A.has_canonical_format = True
+    return A
+
+
+def _assert_batch_is_single_solves(systems):
+    """solve_splu_batch on the systems' shared pattern gives, row by row,
+    solve_splu's report or error and ritz_energy's J, bitwise."""
+    As = [_csc(s.B) for s in systems]
+    data = np.array([A.data for A in As])
+    ells = [s.ell.copy() for s in systems]
+    batch = solve_splu_batch(As[0].indptr, As[0].indices, data, ells)
+    assert len(batch) == len(systems)
+    for A, ell, (result, Bc) in zip(As, ells, batch):
+        try:
+            single = solve_splu(A, ell)
+        except SolverError as exc:
+            assert isinstance(result, SolverError) and str(result) == str(exc)
+            assert Bc is None
+            continue
+        np.testing.assert_array_equal(result.c, single.c)
+        assert (result.residual_norm, result.iterations, result.method) == (
+            single.residual_norm, single.iterations, single.method)
+        J = ritz_energy_of(Bc, ell, result.c)
+        assert J == ritz_energy(SparseSystem(B=A, ell=ell, labeling=None), single.c)
+    return batch
+
+
+FAMILIES_1D = {
+    "arctan1d": lambda rng, n: arctan1d(rng.uniform(1, 100), rng.uniform(0.1, 0.9),
+                                        n_elements=n),
+    "power1d": lambda rng, n: power1d(rng.uniform(0.51, 5.0), n_elements=n),
+    "twomaterial1d": lambda rng, n: twomaterial1d(10 ** rng.uniform(-4, 4), n_elements=n),
+}
+
+
+class TestSolveBatch:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(sorted(FAMILIES_1D)),
+           n=st.sampled_from([1, 2, 3, 8, 16, 64, 20001]), rows=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.0, 4.0),
+           loads=st.lists(st.sampled_from(["assembled", "zero", "nan", "inf"]), min_size=6,
+                          max_size=6),
+           graded=st.booleans())
+    @example(family="arctan1d", n=16, rows=6, seed=1, sigma=1.0, graded=True,
+             loads=["assembled", "zero", "nan", "inf", "assembled", "assembled"])
+    @example(family="arctan1d", n=20001, rows=2, seed=2, sigma=0.0, graded=False,
+             loads=["assembled"] * 6)
+    @example(family="power1d", n=20001, rows=2, seed=3, sigma=0.0, graded=False,
+             loads=["assembled", "zero"] * 3)
+    def test_rows_are_bitwise_single_solves(self, family, n, rows, seed, sigma, loads, graded):
+        rng = np.random.default_rng(seed)
+        if n == 20001:
+            rows = min(rows, 2)
+        if family == "twomaterial1d":
+            n = max(n + n % 2, 2)     # the interface at 0.5 is a fixed node
+        graded = graded and family == "arctan1d"
+        if graded:
+            n = 16
+        systems = []
+        for kind in loads[:rows]:
+            problem = FAMILIES_1D[family](rng, n)
+            mesh = problem.build_mesh(rng.normal(0.0, sigma if n < 20001 else 0.05,
+                                                 problem.theta_size))
+            labeling = label_dirichlet(mesh, problem.boundary)
+            system = assemble_system(mesh, labeling, problem.material, problem.load)
+            ell = system.ell.copy()
+            if kind == "zero":
+                ell[:] = 0.0
+            elif ell.size and kind != "assembled":
+                ell[rng.integers(ell.size)] = np.nan if kind == "nan" else np.inf
+            systems.append(SparseSystem(B=system.B, ell=ell, labeling=labeling))
+        if graded:
+            systems.append(_graded_747())
+        if len({s.labeling.free.tobytes() for s in systems}) == 1:
+            _assert_batch_is_single_solves(systems)
+
+    def test_graded_row_is_refined_in_the_block(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        systems = [evaluate(arctan1d(rng.uniform(1, 50), 0.5, n_elements=16),
+                            rng.normal(0, 0.5, 16)).system for _ in range(3)]
+        systems.insert(1, _graded_747())
+        _assert_batch_is_single_solves(systems)         # warms the pattern cache
+        calls = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or real(*a, **k))
+        batch = _assert_batch_is_single_solves(systems)
+        assert calls[0] == {"permc_spec": "NATURAL"}
+        assert batch[1][0].iterations >= 1
+
+    @pytest.mark.parametrize("case", ["singular", "off-diagonal-pivot"])
+    def test_failed_block_goes_row_by_row(self, monkeypatch, case):
+        # tridiagonal rows on one pattern: a singular row makes the block
+        # factor raise; a row with tiny diagonals makes it pivot off the
+        # diagonal, where the single factors' arithmetic may differ
+        n = 6
+        def tridiagonal(off, diag):
+            return sp.diags([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)],
+                            [-1, 0, 1], format="csr")
+        bad = tridiagonal(-1.0, 2.0) if case == "singular" else tridiagonal(1.0, 1e-3)
+        systems = [_system(tridiagonal(-1.0, d), np.linspace(1, 2, n)) for d in (2.0, 3.0)]
+        systems.insert(1, _system(bad, np.linspace(1, 2, n)))
+        if case == "singular":
+            systems[1].B.data[:] = 0.0            # keep the tridiagonal pattern
+        _assert_batch_is_single_solves(systems)
+        calls = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or real(*a, **k))
+        batch = _assert_batch_is_single_solves(systems)
+        # one block factor, then one splu per row in the batch and in the oracle
+        assert calls[0] == {"permc_spec": "NATURAL"} and len(calls) == 1 + 2 * len(systems)
+        if case == "singular":
+            assert isinstance(batch[1][0], SolverError)
+            assert "factorization failed" in str(batch[1][0])
+        assert all(not isinstance(result, SolverError) for result, _ in batch[::2])
+
+
+class TestBlasThreads:
+    def test_missing_library_or_symbol_gives_no_setter(self, tmp_path):
+        assert solver._thread_setter(tmp_path) is None
+        (tmp_path / "libscipy_openblas-bad.so").write_bytes(b"not a library")
+        assert solver._thread_setter(tmp_path) is None
+        other = tmp_path / "symbol"
+        other.mkdir()
+        # a loadable library without openblas_set_num_threads_local
+        (other / "libscipy_openblas-other.so").symlink_to(Path(_ctypes.__file__))
+        assert solver._thread_setter(other) is None
+
+    def test_banded_solve_pins_one_thread_and_restores(self, monkeypatch):
+        system = evaluate_uniform(lshape(1.0, 1.0, n_elements=16)).system
+        calls = []
+        monkeypatch.setattr(solver, "_scipy_blas_threads",
+                            lambda: lambda k: calls.append(k) or 7)
+        pinned = solve_spd(system)
+        assert pinned.method == "banded-cholesky" and calls == [1, 7]
+        monkeypatch.setattr(solver, "_scipy_blas_threads", lambda: None)
+        np.testing.assert_array_equal(solve_spd(system).c, pinned.c)
+
+    def test_setter_found_in_this_install(self):
+        # scipy's wheels bundle libscipy_openblas with the symbol
+        setter = solver._scipy_blas_threads()
+        assert setter is not None
+        previous = setter(1)
+        assert setter(previous) == 1
