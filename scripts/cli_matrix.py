@@ -52,7 +52,7 @@ RUNS = [
                                 "epochs": 2, "batch": 5}),
     *_train_report("arctan2d", {"problem": "arctan2d", "N": 4, "grid": {"counts": [3, 2, 2]},
                                 "epochs": 1, "batch": 5, "problem_options": {"order": 8}}),
-    # 2 of the 21 train tuples fail their adapted solve in the report
+    # strongly graded adapted meshes: every tuple solves in the report
     *_train_report("arctan1d-rate0.3", {"problem": "arctan1d", "N": 8,
                                         "grid": {"counts": [6, 5]}, "epochs": 2, "batch": 10,
                                         "schedule": [[0, 0.3]]}),

@@ -139,7 +139,7 @@ def test_report_skips_failed_tuples(tmp_path, caplog):
     from ritzmesh.training import load_checkpoint
 
     grid_cfg = {"problem": "arctan1d", "N": 8, "grid": {"counts": [6, 5]}}
-    train_cfg = dict(grid_cfg, epochs=2, batch=10, schedule=[[0, 0.3]])
+    train_cfg = dict(grid_cfg, epochs=2, batch=10, schedule=[[0, 1.0]])
     report_cfg = dict(grid_cfg, checkpoint=str(tmp_path / "train" / "checkpoint.npz"))
     for name, cfg in (("train", train_cfg), ("report", report_cfg)):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
