@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from . import loads as ld
 from .errors import ConfigurationError
-from .mesh import Mesh1D, TensorMesh2D
+from .mesh import Mesh1D
 
 COORD_TOL = 1e-12
 
@@ -189,33 +189,43 @@ def _scatter_pattern(grid_shape, free_bytes):
     """Symbolic assembly for an element grid and a free-node set.
 
     grid_shape is (n_elements,) in 1D and (nx, ny) in 2D; free_bytes is
-    the int64 free-node index array as bytes.  Returns read-only int32
-    arrays (indptr, indices, sel, slot): the restricted CSR pattern,
-    rows and columns in the order of the free array with sorted column
-    indices, and for the raveled (E, k, k) element matrices, entry
-    sel[m] adds into data slot slot[m].  Entries touching a Dirichlet
-    node are not selected.
+    the int64 free-node index array as bytes.  Returns (indptr, indices,
+    op): the restricted CSR pattern as int32 arrays, rows and columns in
+    the order of the free array with sorted column indices, and the
+    sparse operator from the concatenated raveled element weights of
+    _stiffness_weights to the CSR data, op @ w.  Entries touching a
+    Dirichlet node are left out.  Every array, op's too, is read-only.
     """
     if len(grid_shape) == 1:
         e = np.arange(grid_shape[0])
         conn = np.stack([e, e + 1], axis=1)
+        local = (np.array([[1.0, -1.0], [-1.0, 1.0]]),)
     else:
         conn = _connectivity_2d(*grid_shape)
+        local = (_AX, _AY)
     free = np.frombuffer(free_bytes, dtype=np.int64)
     pos = np.full(conn.max() + 1, -1, dtype=np.int64)
     pos[free] = np.arange(free.size)
-    k = conn.shape[1]
+    n_el, k = conn.shape
     rows = pos[np.repeat(conn, k, axis=1)].ravel()
     cols = pos[np.tile(conn, (1, k))].ravel()
     sel = np.flatnonzero((rows >= 0) & (cols >= 0))
     keys, slot = np.unique(rows[sel] * free.size + cols[sel], return_inverse=True)
+    del rows, cols
     counts = np.bincount(keys // free.size, minlength=free.size)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    out = tuple(np.ascontiguousarray(a, dtype=np.int32)
-                for a in (indptr, keys % free.size, sel, slot))
-    for a in out:
+    # row s of op holds, for each selected entry m with slot[m] == s, local
+    # matrix t's entry at column t * E + (the element that m belongs to)
+    element, entry = np.divmod(sel[np.argsort(slot, kind="stable")].astype(np.int32), k * k)
+    op = sp.csr_matrix(
+        (np.stack([A.ravel()[entry] for A in local], axis=1).ravel(),
+         (element[:, None] + n_el * np.arange(len(local), dtype=np.int32)).ravel(),
+         len(local) * np.append(0, np.cumsum(np.bincount(slot))).astype(np.int32)),
+        shape=(keys.size, len(local) * n_el))
+    out = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, keys % free.size))
+    for a in out + (op.data, op.indices, op.indptr):
         a.flags.writeable = False
-    return out
+    return out + (op,)
 
 
 def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
@@ -225,20 +235,21 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     The load vector collects forcing integrals and the load's Neumann
     flux at the right end of each axis; entries at Dirichlet nodes,
     which may be non-finite for singular forcings, are dropped.  The
-    stiffness pattern comes from _scatter_pattern, cached per element
-    grid and free set; each call computes element values only.
+    stiffness pattern and the operator from element weights to its
+    values come from _scatter_pattern, cached per element grid and free
+    set; each call computes the weights and one product.
     """
-    _check_material_resolved([m.nodes for m in mesh.axes], material)
+    axes_nodes = [m.nodes for m in mesh.axes]
+    _check_material_resolved(axes_nodes, material)
     if isinstance(mesh, Mesh1D):
-        K = _element_stiffness_1d(mesh.nodes, material)
         x = mesh.nodes
         rhs = ld.node_loads(*ld.hat_loads(load, x[:-1], x[1:]), load.bind("flux")())
     else:
-        K = _element_stiffness_2d(mesh, material)
-        rhs = ld.area_loads(load, mesh.mesh_x.nodes, mesh.mesh_y.nodes)
-    grid_shape = tuple(m.n_elements for m in mesh.axes)
-    indptr, indices, data = _scatter_stiffness(K, grid_shape, labeling.free)
-    B = sp.csr_matrix((data, indices, indptr), shape=(labeling.n_free, labeling.n_free))
+        rhs = ld.area_loads(load, *axes_nodes)
+    indptr, indices, op = _scatter_pattern(tuple(m.n_elements for m in mesh.axes),
+                                           _free_bytes(labeling))
+    w = np.concatenate([g.ravel() for g in _stiffness_weights(axes_nodes, material)])
+    B = sp.csr_matrix((op @ w, indices, indptr), shape=(labeling.n_free, labeling.n_free))
     B.has_canonical_format = True
     return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling)
 
@@ -248,52 +259,39 @@ def stiffness_batch_1d(x, boundary, material: MaterialField):
     restricted stiffness matrices (material from stack_materials), as
     label_dirichlet and assemble_system do per mesh, on the whole array.
     Returns (rows, labeling, indptr, indices, data) per free set, the
-    (len(rows), nnz) data bitwise assemble_system's B.data per mesh."""
+    (len(rows), nnz) data bitwise assemble_system's B.data per mesh (each
+    entry sums at most two weights, and in either order the same)."""
     _check_material_resolved([x], material)
     mask = _dirichlet_mask([x], boundary)
     groups = {}
     for i, row in enumerate(mask):
         groups.setdefault(row.tobytes(), []).append(i)
-    K = _element_stiffness_1d(x, material)
+    (w,) = _stiffness_weights([x], material)
     out = []
     for rows in groups.values():
         labeling = _labeling(mask[rows[0]])
-        out.append((rows, labeling) + _scatter_stiffness(K[rows], (x.shape[-1] - 1,),
-                                                         labeling.free))
+        indptr, indices, op = _scatter_pattern((x.shape[-1] - 1,), _free_bytes(labeling))
+        out.append((rows, labeling, indptr, indices,
+                    np.ascontiguousarray((op @ w[rows].T).T)))
     return out
 
 
-def _scatter_stiffness(K, grid_shape, free):
-    """Sum element matrices into the restricted CSR matrix of the free
-    nodes; returns (indptr, indices, data).  K is (E, k, k) on the element
-    grid grid_shape, or (G, E, k, k) for G meshes sharing the grid and the
-    free set, which gives (G, nnz) data, each row bitwise one mesh's."""
-    free = np.asarray(free, dtype=np.int64)
-    indptr, indices, sel, slot = _scatter_pattern(grid_shape, free.tobytes())
-    lead, nnz = K.shape[:-3], indices.size
-    G = int(np.prod(lead))
-    at = slot + nnz * np.arange(G)[:, None]
-    data = np.bincount(at.ravel(), weights=K.reshape(G, -1)[:, sel].ravel(), minlength=G * nnz)
-    return indptr, indices, data.reshape(lead + (nnz,))
+def _free_bytes(labeling):
+    return np.asarray(labeling.free, dtype=np.int64).tobytes()
 
 
-def _element_stiffness_1d(x, material: MaterialField):
-    """Element matrices (E, 2, 2): coeff/h [[1, -1], [-1, 1]], on nodes x
-    or on each row of (K, M) nodes."""
-    mid = 0.5 * (x[..., :-1] + x[..., 1:])
-    k = material.value_at(mid) / np.diff(x)
-    return k[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _element_stiffness_2d(mesh: TensorMesh2D, material: MaterialField):
-    """Element matrices (E, 4, 4) in counterclockwise local order,
-    elements x fastest: the x nodes as a row and the y nodes as a column
-    broadcast to the (ny, nx) element grid."""
-    xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes[:, None]
+def _stiffness_weights(axes_nodes, material: MaterialField):
+    """Element weights, one array per local stiffness matrix: (coeff/h,)
+    of [[1, -1], [-1, 1]] on 1D nodes x or on each row of (K, M) nodes;
+    on 2D axis nodes (xs, ys) the (ny, nx) grids coeff*hy/hx of _AX and
+    coeff*hx/hy of _AY, x nodes as a row, so elements run x fastest."""
+    if len(axes_nodes) == 1:
+        (x,) = axes_nodes
+        return (material.value_at(0.5 * (x[..., :-1] + x[..., 1:])) / np.diff(x),)
+    xs, ys = axes_nodes[0], axes_nodes[1][:, None]
     hx, hy = np.diff(xs), np.diff(ys, axis=0)
     coeff = material.value_at(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
-    K = (coeff * (hy / hx))[..., None, None] * _AX + (coeff * (hx / hy))[..., None, None] * _AY
-    return K.reshape(-1, 4, 4)
+    return coeff * (hy / hx), coeff * (hx / hy)
 
 
 def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: MaterialField,
@@ -346,17 +344,17 @@ def contraction_1d(x, material, load, c_full, values=None):
 
 def _contraction_2d(mesh, material, load, c_full):
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
-    # the stiffness part on the (ny, nx) element grid, x nodes as a row
-    # and y nodes as a column, element corners counterclockwise
-    hx, hy = np.diff(xs), np.diff(ys)[:, None]
-    coeff = material.value_at(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])[:, None])
+    wx, wy = _stiffness_weights([xs, ys], material)
     C = c_full.reshape(ys.size, xs.size)
-    Ce = np.stack([C[:-1, :-1], C[:-1, 1:], C[1:, 1:], C[1:, :-1]], axis=-1).reshape(-1, 4)
-    a = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AX, Ce).reshape(coeff.shape)
-    b = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AY, Ce).reshape(coeff.shape)
-    # sum the stiffness terms over each column and row
-    s_x = (coeff * (-hy / hx**2 * a + b / hy)).sum(axis=0)
-    s_y = (coeff * (a / hx - hx / hy**2 * b)).sum(axis=1)
+    # element energy wx a + wy b: a = (p^2 + pq + q^2)/6 for the x differences
+    # p, q of C on its bottom and top, b the same for those in y on its sides
+    cx, cy = np.diff(C, axis=1), np.diff(C, axis=0)
+    a = (cx[:-1] * cx[:-1] + cx[:-1] * cx[1:] + cx[1:] * cx[1:]) / 6.0
+    b = (cy[:, :-1] * cy[:, :-1] + cy[:, :-1] * cy[:, 1:] + cy[:, 1:] * cy[:, 1:]) / 6.0
+    # its d/dhx is -t/hx and its d/dhy is t/hy; sum them over columns and rows
+    t = wx * a - wy * b
+    s_x = -(t / np.diff(xs)).sum(axis=0)
+    s_y = (t / np.diff(ys)[:, None]).sum(axis=1)
     grad_x = np.zeros_like(xs)
     grad_y = np.zeros_like(ys)
     grad_x[:-1] -= s_x

@@ -5,29 +5,31 @@ discrete solution, callers treat the returned coefficients as
 constants; nothing here is ever differentiated.
 
 The direct method factors a banded matrix with LAPACK's banded
-Cholesky (``cholesky_banded``).  Tensor-product meshes give every 2D
-system a fixed band of width Nx+1 in free-index order, so this is the
-path of every 2D system; it runs scipy's OpenBLAS on one thread,
-about twice as fast on these bands as two.  Tridiagonal (1D) systems
-and matrices whose band would be far larger than their nonzeros keep
-the general sparse LU (``splu``).  1D stays on ``splu`` on purpose:
-the parametric arctan runs amplify roundoff, and a banded 1D solve
-changes the coefficients in the last bit and, through training, the
-final errors recorded against this LU (whose COLAMD ordering permutes
-even a tridiagonal matrix, so no Thomas sweep reproduces it).  A batch
-of 1D systems on one pattern takes one ``splu`` of their block
-diagonal, each block in the column order ``splu`` picks for the
-pattern, bitwise one ``splu`` each.  Conjugate gradients run
-only on request or, in 'auto' mode, on systems above DIRECT_DOF_LIMIT
-that are not tridiagonal: a tridiagonal factor is cheap at any size.
-Each solved system is checked once: its normwise backward error
-||B c - ell|| / (||B||_F ||c|| + ||ell||), ||B||_F over the stored
-entries, is at most RESIDUAL_TOL (Rigal & Gaches 1967; Higham, Accuracy
-and Stability of Numerical Algorithms, ch. 7).  Banded Cholesky and LU
-pivoting on the diagonal are backward stable on these SPD systems, so
-no refinement is needed; ||B c - ell|| <= RESIDUAL_TOL ||ell||, which
-even the rounded exact solution misses on fine or graded meshes, is not
-asked.
+Cholesky (``cholesky_banded``) in lower band storage, which scipy's
+OpenBLAS ``dpbtrf`` factors in 0.63-0.68 times the time of upper
+storage (lshape N=128, kd = 128, one thread of a 2-core x86 host).
+Tensor-product meshes give every 2D system a fixed band of width Nx+1
+in free-index order, so this is the path of every 2D system; it runs
+scipy's OpenBLAS on one thread, about twice as fast on these bands as
+two.  Tridiagonal (1D) systems and matrices whose band would be far
+larger than their nonzeros keep the general sparse LU (``splu``).  1D
+stays on ``splu`` on purpose: the parametric arctan runs amplify
+roundoff, and a banded 1D solve changes the coefficients in the last
+bit and, through training, the final errors recorded against this LU
+(whose COLAMD ordering permutes even a tridiagonal matrix, so no Thomas
+sweep reproduces it).  A batch of 1D systems on one pattern takes one
+``splu`` of their block diagonal, each block in the column order
+``splu`` picks for the pattern, bitwise one ``splu`` each.  Conjugate
+gradients run only on request or, in 'auto' mode, on systems above
+DIRECT_DOF_LIMIT that are not tridiagonal: a tridiagonal factor is
+cheap at any size.  Each solved system is checked once: its normwise
+backward error ||B c - ell|| / (||B||_F ||c|| + ||ell||), ||B||_F over
+the stored entries, is at most RESIDUAL_TOL (Rigal & Gaches 1967;
+Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).  Banded
+Cholesky and LU pivoting on the diagonal are backward stable on these
+SPD systems, so no refinement is needed; ||B c - ell|| <= RESIDUAL_TOL
+||ell||, which even the rounded exact solution misses on fine or graded
+meshes, is not asked.
 """
 
 import ctypes
@@ -66,14 +68,14 @@ def _band_offsets(B):
     return B.indices - rows
 
 
-def _upper_band(B, offsets, kd):
-    """LAPACK upper band storage ab[kd + i - j, j] = B[i, j], Fortran order.
+def _lower_band(B, offsets, kd):
+    """LAPACK lower band storage ab[i - j, j] = B[i, j], Fortran order.
 
     Fortran order lets LAPACK factor the band in place.
     """
-    upper = offsets >= 0
+    lower = offsets <= 0
     ab = np.zeros((kd + 1, B.shape[0]), order="F")
-    ab[kd - offsets[upper], B.indices[upper]] = B.data[upper]
+    ab[-offsets[lower], B.indices[lower]] = B.data[lower]
     return ab
 
 
@@ -83,19 +85,19 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
     method: 'direct-cholesky', 'cg', or 'auto' (direct, except conjugate
     gradients above 20k DOFs when the matrix is not tridiagonal, so 1D
     systems factor at every size).  The direct method runs banded
-    Cholesky when the upper bandwidth kd exceeds 1 and the band holds
-    at most 32 * nnz entries; tridiagonal and wide-band matrices go to
-    ``splu``; the report's iterations are 0 for a direct solve.  CG is
-    Jacobi-preconditioned with a relative residual target of 1e-12 and
-    at most 20 * n iterations, which the report counts.  The report
-    names the path that ran: 'banded-cholesky', 'splu' or 'cg'.
+    Cholesky on the lower band when the bandwidth kd exceeds 1 and the
+    band holds at most 32 * nnz entries; tridiagonal and wide-band
+    matrices go to ``splu``; the report's iterations are 0 for a direct
+    solve.  CG is Jacobi-preconditioned with a relative residual target
+    of 1e-12 and at most 20 * n iterations, which the report counts.
+    The report names the path that ran: 'banded-cholesky', 'splu' or 'cg'.
     """
     B, ell = system.B, system.ell
     n = ell.size
     if method not in ("auto", "direct-cholesky", "cg"):
         raise ValueError(f"unknown solve method {method!r}")
     _check_load(ell)
-    # the band reads only the upper triangle, so this check guards it
+    # the band reads only the lower triangle, so this check guards it
     asym = abs(B - B.T)
     if asym.nnz and asym.max() > SYMMETRY_TOL * max(1.0, abs(B).max()):
         raise SolverError("stiffness matrix is not symmetric")
@@ -120,11 +122,11 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
     if method == "banded-cholesky":
         with _one_blas_thread():
             try:
-                factor = sla.cholesky_banded(_upper_band(B, offsets, kd), overwrite_ab=True,
-                                             check_finite=False)
+                factor = sla.cholesky_banded(_lower_band(B, offsets, kd), lower=True,
+                                             overwrite_ab=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise SolverError(f"banded Cholesky failed: {exc}") from exc
-            return _single(partial(sla.cho_solve_banded, (factor, False), check_finite=False),
+            return _single(partial(sla.cho_solve_banded, (factor, True), check_finite=False),
                            B, ell, ell_norm, method)
     if method == "splu":
         return solve_splu(B.tocsc(), ell)

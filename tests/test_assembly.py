@@ -8,9 +8,9 @@ from ritzmesh.assembly import (
     _AX,
     _AY,
     MaterialField,
-    _element_stiffness_1d,
-    _element_stiffness_2d,
+    _contraction_2d,
     _scatter_pattern,
+    _stiffness_weights,
     assemble_system,
     assembly_gradient_contraction,
     label_dirichlet,
@@ -31,17 +31,29 @@ from ritzmesh.problems import (
 from ritzmesh.solver import solve_spd
 
 
+def _one_element(axes_nodes, coeff):
+    """The element matrix of a one-element mesh without Dirichlet nodes,
+    assembled by the cached operator from the element weights, in
+    counterclockwise local order in 2D (grid order is ll, lr, ul, ur)."""
+    n = 2 ** len(axes_nodes)
+    indptr, indices, op = _scatter_pattern((1,) * len(axes_nodes),
+                                           np.arange(n, dtype=np.int64).tobytes())
+    weights = _stiffness_weights([np.array(a, dtype=float) for a in axes_nodes],
+                                 MaterialField(default=coeff))
+    K = sp.csr_matrix((op @ np.concatenate([w.ravel() for w in weights]), indices, indptr),
+                      shape=(n, n)).toarray()
+    ccw = [0, 1, 3, 2][:n]
+    return K[np.ix_(ccw, ccw)]
+
+
 def stiffness_1d(x_left, x_right, coeff):
     """The element matrix of a one-element mesh [x_left, x_right]."""
-    mesh = Mesh1D.from_nodes([x_left, x_right])
-    return _element_stiffness_1d(mesh.nodes, MaterialField(default=coeff))[0]
+    return _one_element([[x_left, x_right]], coeff)
 
 
 def stiffness_quad(hx, hy, coeff):
     """The element matrix of a one-element hx-by-hy mesh."""
-    mesh = TensorMesh2D(mesh_x=Mesh1D.from_nodes([0.0, hx]),
-                        mesh_y=Mesh1D.from_nodes([0.0, hy]))
-    return _element_stiffness_2d(mesh, MaterialField(default=coeff))[0]
+    return _one_element([[0.0, hx], [0.0, hy]], coeff)
 
 
 class TestElementStiffness1D:
@@ -301,6 +313,57 @@ class TestGradientContraction:
         interior = grad[1:-1]
         np.testing.assert_allclose(interior, -interior[::-1], atol=1e-10)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: lshape(1.7, 0.4, n_elements=n),
+        lambda n: arctan2d(10.0, 0.3, 0.6, n_elements=n, order=4),
+    ], ids=["lshape", "arctan2d"])
+    @pytest.mark.parametrize("n", [6, 16, 64])
+    def test_2d_matches_corner_stack(self, make, n):
+        # closed-form per-axis differences against the (E, 4) corner
+        # stack on mild and strongly graded meshes (logit scale 3 gives
+        # widths 100x to 1e6x apart).  The coefficients are random: at a
+        # smooth solved c the oracle's 1/2 c^T A c cancels the corners'
+        # common value, and 1/hx^2 amplifies that on small elements to
+        # 1e-5 relative in the gradient (the closed form stays within
+        # 3e-16 of an extended-precision evaluation there)
+        problem = make(n)
+        rng = np.random.default_rng(100 + n)
+        for scale in (0.3, 3.0):
+            ev = evaluate(problem, rng.normal(0, scale, problem.theta_size))
+            for _ in range(2):
+                c_full = ev.labeling.full_vector(rng.normal(size=ev.c.size))
+                got = _contraction_2d(ev.mesh, problem.material, problem.load, c_full)
+                ref = _corner_stack_contraction_2d(ev.mesh, problem.material, problem.load,
+                                                   c_full)
+                for g, r in zip(got, ref):
+                    assert np.linalg.norm(g - r) <= 1e-13 * np.linalg.norm(r)
+
+
+def _corner_stack_contraction_2d(mesh, material, load, c_full):
+    """The 2D contraction from the (E, 4) stack of element corner
+    coefficients and the local matrices _AX and _AY: the form that the
+    per-axis differences of the coefficient grid replaced."""
+    xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
+    hx, hy = np.diff(xs), np.diff(ys)[:, None]
+    coeff = material.value_at(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])[:, None])
+    C = c_full.reshape(ys.size, xs.size)
+    Ce = np.stack([C[:-1, :-1], C[:-1, 1:], C[1:, 1:], C[1:, :-1]], axis=-1).reshape(-1, 4)
+    a = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AX, Ce).reshape(coeff.shape)
+    b = 0.5 * np.einsum("ei,ij,ej->e", Ce, _AY, Ce).reshape(coeff.shape)
+    s_x = (coeff * (-hy / hx**2 * a + b / hy)).sum(axis=0)
+    s_y = (coeff * (a / hx - hx / hy**2 * b)).sum(axis=1)
+    grad_x, grad_y = np.zeros_like(xs), np.zeros_like(ys)
+    grad_x[:-1] -= s_x
+    grad_x[1:] += s_x
+    grad_y[:-1] -= s_y
+    grad_y[1:] += s_y
+    for (lx, dx), (ly, dy) in ld.area_load_derivs(load, xs, ys):
+        for grad, w, derivs in ((grad_x, C.T @ ly, dx), (grad_y, C @ lx, dy)):
+            dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr = derivs
+            grad[:-1] -= w[:-1] * dIl_dxl + w[1:] * dIr_dxl
+            grad[1:] -= w[:-1] * dIl_dxr + w[1:] * dIr_dxr
+    return grad_x, grad_y
+
 
 def _reference_loads_1d(problem, mesh, labeling):
     """Per-element hat loads scattered with np.add.at into the free nodes,
@@ -432,6 +495,30 @@ class TestScatterPattern:
         np.testing.assert_array_equal(B.indices, ref.indices)
         np.testing.assert_array_equal(B.indptr, ref.indptr)
 
+    @pytest.mark.parametrize("make", [
+        lambda n: arctan1d(10.0, 0.5, n_elements=n),
+        lambda n: power1d(0.7, n_elements=n),
+        lambda n: twomaterial1d(10.0, n_elements=n),
+    ], ids=["arctan1d", "power1d", "twomaterial1d"])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_batch_1d_is_bitwise_reference(self, make, n):
+        # the batched operator product, row by row, against one COO
+        # assembly per mesh
+        from ritzmesh.assembly import stack_materials, stiffness_batch_1d
+        problem = make(n)
+        rng = np.random.default_rng(n)
+        meshes = [problem.build_mesh(rng.normal(0, 0.5, problem.theta_size))
+                  for _ in range(5)]
+        x = np.stack([m.nodes for m in meshes])
+        material = stack_materials([problem.material] * len(meshes))
+        for rows, labeling, indptr, indices, data in stiffness_batch_1d(
+                x, problem.boundary, material):
+            for g, i in enumerate(rows):
+                ref = _reference_stiffness(meshes[i], labeling, problem.material)
+                np.testing.assert_array_equal(data[g], ref.data)
+                np.testing.assert_array_equal(indices, ref.indices)
+                np.testing.assert_array_equal(indptr, ref.indptr)
+
     def test_free_sets_kept_apart(self):
         # one mesh, two labelings: each must get its own cached pattern
         problem = arctan2d(10.0, 0.3, 0.6, n_elements=6, order=4)
@@ -448,9 +535,14 @@ class TestScatterPattern:
     def test_cached_arrays_read_only(self):
         ev = evaluate_uniform(lshape(n_elements=8))
         free = np.asarray(ev.labeling.free, dtype=np.int64)
-        pattern = _scatter_pattern((8, 8), free.tobytes())
-        for arr in pattern:
+        indptr, indices, op = _scatter_pattern((8, 8), free.tobytes())
+        for arr in (indptr, indices):
             assert arr.dtype == np.int32 and not arr.flags.writeable
-        assert np.shares_memory(ev.system.B.indices, pattern[1])
+        for arr in (op.data, op.indices, op.indptr):
+            assert not arr.flags.writeable
+        assert op.shape == (indices.size, 2 * 64)
+        assert np.shares_memory(ev.system.B.indices, indices)
         with pytest.raises(ValueError):
             ev.system.B.indices[0] = 1
+        with pytest.raises(ValueError):
+            op.data[0] = 1.0

@@ -222,7 +222,7 @@ class TestRefinement:
          _splu_reference),
         (493, lambda rng: lshape(10 ** rng.uniform(-1, 1), 10 ** rng.uniform(-1, 1),
                                  n_elements=8),
-         lambda s: sla.solveh_banded(sla_band(s.B), s.ell)),
+         lambda s: sla.solveh_banded(sla_band(s.B), s.ell, lower=True)),
     ], ids=["splu", "banded-cholesky"])
     def test_graded_system_is_one_factorization(self, seed, make, single):
         # random graded meshes (from a seeded search) whose single
@@ -297,12 +297,12 @@ class TestRefinement:
 
 
 def sla_band(B):
-    """Upper band storage of a canonical symmetric CSR matrix."""
+    """Lower band storage of a canonical symmetric CSR matrix."""
     offsets = B.indices - np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
     kd = int(offsets.max())
-    upper = offsets >= 0
+    lower = offsets <= 0
     ab = np.zeros((kd + 1, B.shape[0]))
-    ab[kd - offsets[upper], B.indices[upper]] = B.data[upper]
+    ab[-offsets[lower], B.indices[lower]] = B.data[lower]
     return ab
 
 
