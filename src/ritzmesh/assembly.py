@@ -8,8 +8,8 @@ current node coordinates on every call, so it tracks moving nodes.
 
 The load vector is a node vector per axis in 1D and a sum of outer
 products of per-axis node vectors in 2D (loads.node_loads,
-loads.area_loads); Neumann data enter it as point loads at the right
-end of an axis, so there are no separate boundary integrals.
+loads.area_load_derivs); Neumann data enter it as point loads at the
+right end of an axis, so there are no separate boundary integrals.
 
 The gradient contraction differentiates the assembled Ritz energy
     E = 1/2 c^T B c - l . c
@@ -124,6 +124,7 @@ class SparseSystem:
     B: sp.csr_matrix
     ell: np.ndarray
     labeling: DofLabeling
+    load_parts: object = None    # the gradient's: 1D hat loads, or area_load_derivs's pieces
 
 
 def label_dirichlet(mesh, spec: str) -> DofLabeling:
@@ -243,15 +244,17 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     _check_material_resolved(axes_nodes, material)
     if isinstance(mesh, Mesh1D):
         x = mesh.nodes
-        rhs = ld.node_loads(*ld.hat_loads(load, x[:-1], x[1:]), load.bind("flux")())
+        parts = ld.hat_loads(load, x[:-1], x[1:])
+        rhs = ld.node_loads(*parts, load.bind("flux")())
     else:
-        rhs = ld.area_loads(load, *axes_nodes)
+        parts = ld.area_load_derivs(load, *axes_nodes)
+        rhs = sum(np.outer(ly, lx).ravel() for (lx, _), (ly, _) in parts)
     indptr, indices, op = _scatter_pattern(tuple(m.n_elements for m in mesh.axes),
                                            _free_bytes(labeling))
     w = np.concatenate([g.ravel() for g in _stiffness_weights(axes_nodes, material)])
     B = sp.csr_matrix((op @ w, indices, indptr), shape=(labeling.n_free, labeling.n_free))
     B.has_canonical_format = True
-    return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling)
+    return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling, load_parts=parts)
 
 
 def stiffness_batch_1d(x, boundary, material: MaterialField):
@@ -294,7 +297,7 @@ def _stiffness_weights(axes_nodes, material: MaterialField):
     return coeff * (hy / hx), coeff * (hx / hy)
 
 
-def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: MaterialField,
+def assembly_gradient_contraction(mesh, system: SparseSystem, material: MaterialField,
                                   load: ld.LoadSpec, c_free):
     """d/d(node coordinates) of E = 1/2 c^T B c - l . c at fixed c.
 
@@ -308,10 +311,10 @@ def assembly_gradient_contraction(mesh, labeling: DofLabeling, material: Materia
     Returns one gradient per axis of the mesh, over that axis's node
     coordinates: (grad,) in 1D and (grad_x, grad_y) in 2D.
     """
-    c_full = labeling.full_vector(c_free)
+    c_full = system.labeling.full_vector(c_free)
     if isinstance(mesh, Mesh1D):
-        return (contraction_1d(mesh.nodes, material, load, c_full),)
-    return _contraction_2d(mesh, material, load, c_full)
+        return (contraction_1d(mesh.nodes, material, load, c_full, system.load_parts),)
+    return _contraction_2d(mesh, material, system.load_parts, c_full)
 
 
 def _load_contraction(grad, w, derivs):
@@ -342,7 +345,7 @@ def contraction_1d(x, material, load, c_full, values=None):
     return grad
 
 
-def _contraction_2d(mesh, material, load, c_full):
+def _contraction_2d(mesh, material, load_parts, c_full):
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
     wx, wy = _stiffness_weights([xs, ys], material)
     C = c_full.reshape(ys.size, xs.size)
@@ -362,7 +365,7 @@ def _contraction_2d(mesh, material, load, c_full):
     grad_y[:-1] -= s_y
     grad_y[1:] += s_y
 
-    for (lx, dx), (ly, dy) in ld.area_load_derivs(load, xs, ys):
+    for (lx, dx), (ly, dy) in load_parts:
         _load_contraction(grad_x, C.T @ ly, dx)
         _load_contraction(grad_y, C @ lx, dy)
     return grad_x, grad_y

@@ -78,16 +78,16 @@ class ErrorReport:
         }
 
 
-def ritz_gradient(problem, mesh, labeling, c_free, scale=1.0):
+def ritz_gradient(problem, mesh, system, c_free, scale=1.0):
     """Reduced gradient of the (optionally balanced) Ritz energy.
 
-    Contracts the closed-form element derivatives with the solved
-    coefficients, then pulls the node-coordinate gradient back through
-    the mesh construction to the logits.  For a balanced loss, pass
-    scale = 1/|J_uniform_ref|.  Returns the gradient over the logits
-    (theta in the direct mode, the network output in parametric mode);
-    one block per axis, x first.
+    Contracts the closed-form element derivatives of the system assembled
+    on the mesh with the solved coefficients, then pulls the node-coordinate
+    gradient back through the mesh construction to the logits.  For a
+    balanced loss, pass scale = 1/|J_uniform_ref|.  Returns the gradient
+    over the logits (theta in the direct mode, the network output in
+    parametric mode); one block per axis, x first.
     """
-    grads = assembly_gradient_contraction(mesh, labeling, problem.material, problem.load, c_free)
+    grads = assembly_gradient_contraction(mesh, system, problem.material, problem.load, c_free)
     return scale * np.concatenate([mesh_pullback(g, m.record, p) for g, m, p in
                                    zip(grads, mesh.axes, problem.mesh_params())])

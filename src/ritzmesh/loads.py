@@ -315,15 +315,26 @@ def hat_load_derivs_exact(load: LoadSpec, xl, xr, values=None):
 # ---------------------------------------------------------------------------
 # quadrature elementwise integrals (1D and line integrals)
 
-def _hat_sums(wts, fv, lam):
-    """(falling, rising) hat loads from weighted integrand values."""
-    return np.sum(wts * fv * (1.0 - lam), axis=-1), np.sum(wts * fv * lam, axis=-1)
+@lru_cache(maxsize=None)
+def _hat_moments(order):
+    """Read-only [w (1-lam), w lam] and [w (1-lam)^2, w (1-lam) lam, w lam^2]
+    of the order-point rule, weights w, rising hat lam at its points."""
+    rule = gauss_legendre(order)
+    w, lam = rule.weights, 0.5 * (rule.points + 1.0)
+    out = (np.stack([w * (1.0 - lam), w * lam], axis=1),
+           np.stack([w * (1.0 - lam) ** 2, w * (1.0 - lam) * lam, w * lam**2], axis=1))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def line_hat_loads(fun, xl, xr, rule: QuadratureRule):
-    """Quadrature loads of the falling/rising hats for a callable integrand."""
-    pts, wts = rule.mapped(xl, xr)
-    return _hat_sums(wts, fun(pts), 0.5 * (rule.points + 1.0))
+    """Quadrature loads of the falling/rising hats for a callable integrand:
+    h V, h the half-lengths and V = fun(points) @ _hat_moments[0]."""
+    pts, _ = rule.mapped(xl, xr)
+    V = fun(pts) @ _hat_moments(rule.order)[0]
+    h = 0.5 * (np.asarray(xr, dtype=float) - np.asarray(xl, dtype=float))
+    return h * V[..., 0], h * V[..., 1]
 
 
 def line_hat_load_derivs(fun, fun_prime, xl, xr, rule: QuadratureRule):
@@ -332,29 +343,18 @@ def line_hat_load_derivs(fun, fun_prime, xl, xr, rule: QuadratureRule):
 
     Returns ((I_l, I_r), (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr)): the
     loads of line_hat_loads, bitwise, from the same integrand
-    evaluation, and their derivatives.
+    evaluation, and their derivatives.  A point moves with xl and xr by
+    1 - lam and lam, and h by -1/2 and 1/2, so with P = fun_prime(points)
+    @ _hat_moments[1]: dIl/dxl = h P0 - V0/2, dIl/dxr = h P1 + V0/2,
+    dIr/dxl = h P1 - V1/2 and dIr/dxr = h P2 + V1/2.
     """
-    xl = np.asarray(xl, dtype=float)
-    xr = np.asarray(xr, dtype=float)
-    half = 0.5 * (xr - xl)
-    pts, wts = rule.mapped(xl, xr)
-    lam = 0.5 * (rule.points + 1.0)      # rising hat at reference points
-    dx_dxl = 1.0 - lam                   # d(mapped point)/d(xl)
-    dx_dxr = lam
-    w = rule.weights
-    fv = fun(pts)
-    fp = fun_prime(pts)
-
-    def contr(hat):
-        base = w * fv * hat
-        slope = w * fp * hat
-        d_dxl = np.sum(-0.5 * base + half[..., None] * slope * dx_dxl, axis=-1)
-        d_dxr = np.sum(0.5 * base + half[..., None] * slope * dx_dxr, axis=-1)
-        return d_dxl, d_dxr
-
-    dIl_dxl, dIl_dxr = contr(1.0 - lam)
-    dIr_dxl, dIr_dxr = contr(lam)
-    return _hat_sums(wts, fv, lam), (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr)
+    pts, _ = rule.mapped(xl, xr)
+    values, slopes = _hat_moments(rule.order)
+    V, P = fun(pts) @ values, fun_prime(pts) @ slopes
+    h = 0.5 * (np.asarray(xr, dtype=float) - np.asarray(xl, dtype=float))
+    V0, V1, hP = V[..., 0], V[..., 1], h[..., None] * P
+    return ((h * V0, h * V1), (hP[..., 0] - 0.5 * V0, hP[..., 1] + 0.5 * V0,
+                               hP[..., 1] - 0.5 * V1, hP[..., 2] + 0.5 * V1))
 
 
 def hat_loads(load: LoadSpec, xl, xr):
@@ -391,7 +391,7 @@ def area_loads(load: LoadSpec, xs, ys):
     fluxes at x = xs[-1] and y = ys[-1] included.  A separable forcing
     sum_k fx_k(x) fy_k(y) under the tensor Gauss-Legendre rule factors
     into 1D hat loads, so each term's load vector is the outer product
-    of its two axes' node vectors.
+    of its two axes' node vectors.  Assembly uses area_load_derivs.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     rule = load.rule()
@@ -407,9 +407,9 @@ def area_load_derivs(load: LoadSpec, xs, ys):
     """The per-axis pieces of area_loads and their node derivatives.
 
     Returns one ((lx, dx), (ly, dy)) pair per term: each axis factor's
-    node vector l, as area_loads forms it, and the endpoint derivatives
-    d = (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) of its per-element hat
-    loads, all from one evaluation of the factor per axis.
+    node vector l, bitwise as area_loads forms it, and the endpoint
+    derivatives d = (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) of its hat
+    loads, from one evaluation of the factor and its derivative per axis.
     """
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     rule = load.rule()

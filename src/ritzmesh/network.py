@@ -76,13 +76,3 @@ def _matvec(W, X):
 
 def _outer_sum(u, v):
     return (u[:, :, None] * v[:, None, :]).sum(axis=0)
-
-
-def zero_grads(params: MlpParams) -> MlpParams:
-    return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
-
-
-def accumulate(total: MlpParams, grads: MlpParams, weight=1.0):
-    for t, g in zip(total.arrays(), grads.arrays()):
-        t += weight * g
-    return total

@@ -57,7 +57,7 @@ def evaluate_uniform(problem) -> Evaluation:
 def evaluate_with_gradient(problem, theta=None, scale=1.0):
     """Evaluation plus the reduced gradient over the logits."""
     ev = evaluate(problem, theta)
-    grad = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c, scale=scale)
+    grad = ritz_gradient(problem, ev.mesh, ev.system, ev.c, scale=scale)
     return ev, grad
 
 
@@ -166,4 +166,4 @@ def _evaluate_each(problems, logits, scales, out):
             continue
         out.J[k], out.ell[k], out.c[k] = ev.J, ev.system.ell, ev.c
         if scales is not None:
-            out.grad[k] = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c, scale=scales[k])
+            out.grad[k] = ritz_gradient(problem, ev.mesh, ev.system, ev.c, scale=scales[k])

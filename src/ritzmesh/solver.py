@@ -5,9 +5,11 @@ discrete solution, callers treat the returned coefficients as
 constants; nothing here is ever differentiated.
 
 The direct method factors a banded matrix with LAPACK's banded
-Cholesky (``cholesky_banded``) in lower band storage, which scipy's
-OpenBLAS ``dpbtrf`` factors in 0.63-0.68 times the time of upper
-storage (lshape N=128, kd = 128, one thread of a 2-core x86 host).
+Cholesky (``dpbtrf``, then ``dpbtrs``) in lower band storage, which
+scipy's OpenBLAS factors in 0.63-0.68 times the time of upper storage
+(lshape N=128, kd = 128, one thread of a 2-core x86 host).  What a
+solve reads off the sparsity pattern is planned once per pattern: it
+fills the band with one scatter and checks symmetry in O(nnz).
 Tensor-product meshes give every 2D system a fixed band of width Nx+1
 in free-index order, so this is the path of every 2D system; it runs
 scipy's OpenBLAS on one thread, about twice as fast on these bands as
@@ -35,7 +37,7 @@ meshes, is not asked.
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -62,53 +64,56 @@ class SolveReport:
     method: str
 
 
-def _band_offsets(B):
-    """Column - row offset of every stored entry of a canonical CSR matrix."""
-    rows = np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))
-    return B.indices - rows
-
-
-def _lower_band(B, offsets, kd):
-    """LAPACK lower band storage ab[i - j, j] = B[i, j], Fortran order.
-
-    Fortran order lets LAPACK factor the band in place.
-    """
-    lower = offsets <= 0
-    ab = np.zeros((kd + 1, B.shape[0]), order="F")
-    ab[-offsets[lower], B.indices[lower]] = B.data[lower]
-    return ab
+@lru_cache(maxsize=8)
+def _band_plan(indptr_bytes, indices_bytes, dtype):
+    """Of a canonical CSR pattern (indptr and indices bytes of dtype): kd;
+    the stored lower entries and their flat positions in the lower band
+    ab[i - j, j] = B[i, j], (kd+1, n) in Fortran order for LAPACK to factor
+    in place; the stored entry at (j, i) of each at (i, j), or -1.  Read-only."""
+    indptr = np.frombuffer(indptr_bytes, dtype=dtype)
+    n, cols = indptr.size - 1, np.frombuffer(indices_bytes, dtype=dtype).astype(np.int64)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    kd = int(np.max(cols - rows, initial=0))
+    lower = np.flatnonzero(cols <= rows)
+    pos = rows[lower] - cols[lower] + (kd + 1) * cols[lower]
+    # canonical CSR stores its entries in increasing row-major key order
+    keys, mirror_keys = rows * n + cols, cols * n + rows
+    perm = np.minimum(np.searchsorted(keys, mirror_keys), max(keys.size - 1, 0))
+    perm = np.where(keys[perm] == mirror_keys, perm, -1)
+    for a in (lower, pos, perm):
+        a.flags.writeable = False
+    return kd, lower, pos, perm
 
 
 def solve_spd(system, method: str = "auto") -> SolveReport:
     """Solve B c = ell for an SPD system to normwise backward error 1e-10.
 
-    method: 'direct-cholesky', 'cg', or 'auto' (direct, except conjugate
-    gradients above 20k DOFs when the matrix is not tridiagonal, so 1D
-    systems factor at every size).  The direct method runs banded
-    Cholesky on the lower band when the bandwidth kd exceeds 1 and the
-    band holds at most 32 * nnz entries; tridiagonal and wide-band
-    matrices go to ``splu``; the report's iterations are 0 for a direct
-    solve.  CG is Jacobi-preconditioned with a relative residual target
-    of 1e-12 and at most 20 * n iterations, which the report counts.
-    The report names the path that ran: 'banded-cholesky', 'splu' or 'cg'.
+    method: 'direct-cholesky', 'cg', or 'auto' (direct, except CG above
+    20k DOFs when B is not tridiagonal).  The direct method is banded
+    Cholesky when kd > 1 and the band holds at most 32 * nnz entries,
+    else ``splu``.  CG is Jacobi-preconditioned, to a relative residual
+    of 1e-12 in at most 20 * n iterations, which the report counts (0
+    for a direct solve); it names the path: 'banded-cholesky', 'splu' or
+    'cg'.
     """
     B, ell = system.B, system.ell
     n = ell.size
     if method not in ("auto", "direct-cholesky", "cg"):
         raise ValueError(f"unknown solve method {method!r}")
     _check_load(ell)
-    # the band reads only the lower triangle, so this check guards it
-    asym = abs(B - B.T)
-    if asym.nnz and asym.max() > SYMMETRY_TOL * max(1.0, abs(B).max()):
-        raise SolverError("stiffness matrix is not symmetric")
-
     B = B.tocsr()
     if not B.has_canonical_format:
         B = B.copy()
         B.sum_duplicates()
+    kd, lower, pos, perm = _band_plan(B.indptr.tobytes(), B.indices.tobytes(),
+                                      B.indices.dtype.str)
+    # the band reads only the lower triangle, so this check guards it
+    mirror = np.where(perm < 0, 0.0, B.data[perm])
+    if np.max(np.abs(B.data - mirror), initial=0.0) > SYMMETRY_TOL * max(
+            1.0, np.max(np.abs(B.data), initial=0.0)):
+        raise SolverError("stiffness matrix is not symmetric")
+
     if method != "cg":
-        offsets = _band_offsets(B)
-        kd = int(offsets.max(initial=0))
         if method == "auto" and n > DIRECT_DOF_LIMIT and kd > 1:
             method = "cg"
         else:
@@ -120,14 +125,16 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
         return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0, method=method)
 
     if method == "banded-cholesky":
+        ab = np.zeros((kd + 1) * n)
+        ab[pos] = B.data[lower]
+        ab = ab.reshape((kd + 1, n), order="F")
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
         with _one_blas_thread():
-            try:
-                factor = sla.cholesky_banded(_lower_band(B, offsets, kd), lower=True,
-                                             overwrite_ab=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"banded Cholesky failed: {exc}") from exc
-            return _single(partial(sla.cho_solve_banded, (factor, True), check_finite=False),
-                           B, ell, ell_norm, method)
+            factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise SolverError(f"banded Cholesky failed: minor {info} is not positive definite")
+            # a wrong solve from dpbtrs misses the backward-error check
+            return _single(lambda b: pbtrs(factor, b, lower=1)[0], B, ell, ell_norm, method)
     if method == "splu":
         return solve_splu(B.tocsc(), ell)
 

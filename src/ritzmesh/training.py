@@ -98,7 +98,7 @@ def train_nonparametric(problem, schedule=((0, 1e-2),), iterations=1000, callbac
             ev = evaluate(problem, theta)
         except DegenerateMeshError as exc:
             raise DegenerateMeshError(f"iteration {t}: {exc}") from exc
-        grad = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c)
+        grad = ritz_gradient(problem, ev.mesh, ev.system, ev.c)
         record(t, ev.J)
         adam_step(state, [theta], [grad], epoch=t)
     record(iterations, evaluate(problem, theta).J)

@@ -7,6 +7,7 @@ them fails here instead.
 """
 
 import ast
+import dataclasses
 import importlib.util
 from importlib import import_module
 from pathlib import Path
@@ -67,30 +68,50 @@ def test_package_all_imports():
     assert set(ritzmesh.__all__) <= namespace.keys()
 
 
-LOAD_SPANS = ("hat_loads", "hat_load_derivs", "area_loads", "area_load_derivs")
+LOAD_SPANS = ("hat_loads", "hat_load_derivs", "area_loads", "area_load_derivs",
+              "line_hat_loads", "line_hat_load_derivs")
 
 
 @pytest.mark.parametrize("problem,called", [
-    (problems.arctan1d(10.0, 0.5, n_elements=8), ("hat_loads", "hat_load_derivs")),
+    (problems.arctan1d(10.0, 0.5, n_elements=8), {"hat_loads": 1, "hat_load_derivs": 1}),
     (problems.arctan2d(10.0, 0.3, 0.6, n_elements=4, order=8),
-     ("area_loads", "area_load_derivs")),
-    (problems.lshape(1.7, 0.4, n_elements=4), ("area_loads", "area_load_derivs")),
+     {"area_load_derivs": 1, "line_hat_load_derivs": 4}),
+    (problems.lshape(1.7, 0.4, n_elements=4),
+     {"area_load_derivs": 1, "line_hat_load_derivs": 2}),
 ], ids=["arctan1d", "arctan2d", "lshape"])
 def test_benchmark_load_spans_are_called(monkeypatch, problem, called):
     # the benchmark times the loads by wrapping these module attributes;
-    # a call route that bypasses them would leave its spans at zero
+    # a call route that bypasses them would leave its spans at zero.  A
+    # 2D step reaches the loads once, through area_load_derivs, and the
+    # gradient reuses what assembly kept: every term's factor f and its
+    # derivative f' are evaluated exactly once per axis
     counts = dict.fromkeys(LOAD_SPANS, 0)
+    factor_calls = {}
 
-    def counting(name, fn):
+    def counting(name, fn, tally=counts):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            tally[name] = tally.get(name, 0) + 1
             return fn(*args, **kwargs)
         return wrapper
 
     for name in LOAD_SPANS:
         monkeypatch.setattr(loads, name, counting(name, getattr(loads, name)))
+    forcing = loads.FAMILIES[problem.load.family]
+    if forcing.terms is not None:
+        def terms(*params):
+            return tuple(tuple((counting((k, axis, "f"), f, factor_calls),
+                                counting((k, axis, "fp"), fp, factor_calls), flux)
+                               for axis, (f, fp, flux) in enumerate(term))
+                         for k, term in enumerate(forcing.terms(*params)))
+
+        monkeypatch.setitem(loads.FAMILIES, problem.load.family,
+                            dataclasses.replace(forcing, terms=terms))
     pipeline.evaluate_with_gradient(problem, None)
-    assert counts == {name: int(name in called) for name in LOAD_SPANS}
+    assert counts == {name: called.get(name, 0) for name in LOAD_SPANS}
+    if forcing.terms is not None:
+        n_terms = len(forcing.terms(*(problem.load.params[k] for k in forcing.keys)))
+        assert factor_calls == {(k, axis, kind): 1 for k in range(n_terms)
+                                for axis in (0, 1) for kind in ("f", "fp")}
 
 
 def test_parametric_epoch_calls_layers_once_per_batch(monkeypatch):

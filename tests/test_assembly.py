@@ -266,7 +266,7 @@ class TestGradientContraction:
         theta = rng.normal(0, 0.3, problem.theta_size)
         ev = evaluate(problem, theta)
         (grad,) = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, problem.material, problem.load, ev.c)
+            ev.mesh, ev.system, problem.material, problem.load, ev.c)
         # perturbing a fixed interface node changes the problem, not the mesh
         movable = [i for i in range(1, ev.mesh.nodes.size - 1)
                    if ev.mesh.record.adaptive[i]]
@@ -282,7 +282,7 @@ class TestGradientContraction:
             theta = rng.normal(0, 0.2, problem.theta_size)
             ev = evaluate(problem, theta)
             gx, gy = assembly_gradient_contraction(
-                ev.mesh, ev.labeling, problem.material, problem.load, ev.c)
+                ev.mesh, ev.system, problem.material, problem.load, ev.c)
             movable_x = [i for i in range(1, ev.mesh.mesh_x.nodes.size - 1)
                          if ev.mesh.mesh_x.record.adaptive[i]]
             movable_y = [i for i in range(1, ev.mesh.mesh_y.nodes.size - 1)
@@ -299,7 +299,7 @@ class TestGradientContraction:
         ev = evaluate_uniform(p)
         np.testing.assert_array_equal(ev.c, 0.0)
         (grad,) = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, p.material, p.load, ev.c)
+            ev.mesh, ev.system, p.material, p.load, ev.c)
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_symmetric_problem_antisymmetric_gradient(self):
@@ -309,7 +309,7 @@ class TestGradientContraction:
         p = arctan1d(10.0, 0.5, n_elements=8)
         ev = evaluate_uniform(p)
         (grad,) = assembly_gradient_contraction(
-            ev.mesh, ev.labeling, p.material, p.load, ev.c)
+            ev.mesh, ev.system, p.material, p.load, ev.c)
         interior = grad[1:-1]
         np.testing.assert_allclose(interior, -interior[::-1], atol=1e-10)
 
@@ -332,7 +332,7 @@ class TestGradientContraction:
             ev = evaluate(problem, rng.normal(0, scale, problem.theta_size))
             for _ in range(2):
                 c_full = ev.labeling.full_vector(rng.normal(size=ev.c.size))
-                got = _contraction_2d(ev.mesh, problem.material, problem.load, c_full)
+                got = _contraction_2d(ev.mesh, problem.material, ev.system.load_parts, c_full)
                 ref = _corner_stack_contraction_2d(ev.mesh, problem.material, problem.load,
                                                    c_full)
                 for g, r in zip(got, ref):
@@ -424,7 +424,7 @@ class TestNodeLoads1D:
                 ev.system.ell, _reference_loads_1d(problem, ev.mesh, ev.labeling))
             for c in (ev.c, rng.normal(size=ev.c.size)):
                 (grad,) = assembly_gradient_contraction(
-                    ev.mesh, ev.labeling, problem.material, problem.load, c)
+                    ev.mesh, ev.system, problem.material, problem.load, c)
                 np.testing.assert_array_equal(
                     grad, _reference_contraction_1d(problem, ev.mesh, ev.labeling, c))
 

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from ritzmesh.mesh import build_mesh_1d, MeshParams1D, softmax_partition
-from ritzmesh.network import (
-    accumulate,
-    lecun_init,
-    mlp_backward,
-    mlp_forward,
-    zero_grads,
-)
+from ritzmesh.network import MlpParams, lecun_init, mlp_backward, mlp_forward
 from ritzmesh.optim import AdamState, adam_step, lr_at
+
+
+def zero_grads(params: MlpParams) -> MlpParams:
+    """Zero arrays shaped like params: the per-sample oracles' accumulator."""
+    return MlpParams(*(np.zeros_like(a) for a in params.arrays()))
+
+
+def accumulate(total: MlpParams, grads: MlpParams, weight=1.0):
+    """total += weight * grads, array by array, in place."""
+    for t, g in zip(total.arrays(), grads.arrays()):
+        t += weight * g
+    return total
 
 
 class TestLecunInit:

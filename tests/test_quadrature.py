@@ -1,7 +1,11 @@
 """Gauss-Legendre rules and elementwise load integrals."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ritzmesh.assembly import _load_contraction
 from ritzmesh.errors import ConfigurationError
@@ -408,8 +412,6 @@ class TestSeparableAreaLoads:
     def test_derivs_form_values_from_one_evaluation(self, monkeypatch):
         # line_hat_load_derivs returns the loads of line_hat_loads bitwise,
         # so area_load_derivs needs no separate value pass
-        from functools import partial
-
         import ritzmesh.loads as ld
         rng = np.random.default_rng(23)
         nodes = np.sort(rng.uniform(0.0, 1.0, size=9))
@@ -427,6 +429,98 @@ class TestSeparableAreaLoads:
 
         monkeypatch.setattr(ld, "line_hat_loads", forbidden)
         area_load_derivs(load, nodes, nodes[:6])
+
+
+def _hat_sums_oracle(wts, fv, lam):
+    """(falling, rising) hat loads from weighted integrand values."""
+    return np.sum(wts * fv * (1.0 - lam), axis=-1), np.sum(wts * fv * lam, axis=-1)
+
+
+def _line_hat_loads_oracle(fun, xl, xr, rule):
+    """line_hat_loads as elementwise sums over the mapped points: the
+    form that the moment products replaced."""
+    pts, wts = rule.mapped(xl, xr)
+    return _hat_sums_oracle(wts, fun(pts), 0.5 * (rule.points + 1.0))
+
+
+def _line_hat_load_derivs_oracle(fun, fun_prime, xl, xr, rule):
+    """line_hat_load_derivs as elementwise sums: each mapped point moves
+    with the endpoints by 1 - lam and lam, each weight by -1/2 and 1/2."""
+    xl = np.asarray(xl, dtype=float)
+    xr = np.asarray(xr, dtype=float)
+    half = 0.5 * (xr - xl)
+    pts, wts = rule.mapped(xl, xr)
+    lam = 0.5 * (rule.points + 1.0)
+    dx_dxl = 1.0 - lam
+    dx_dxr = lam
+    w = rule.weights
+    fv = fun(pts)
+    fp = fun_prime(pts)
+
+    def contr(hat):
+        base = w * fv * hat
+        slope = w * fp * hat
+        d_dxl = np.sum(-0.5 * base + half[..., None] * slope * dx_dxl, axis=-1)
+        d_dxr = np.sum(0.5 * base + half[..., None] * slope * dx_dxr, axis=-1)
+        return d_dxl, d_dxr
+
+    dIl_dxl, dIl_dxr = contr(1.0 - lam)
+    dIr_dxl, dIr_dxr = contr(lam)
+    return _hat_sums_oracle(wts, fv, lam), (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr)
+
+
+class TestMomentProducts:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(order=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           rows=st.sampled_from([None, 1, 3]), graded=st.booleans(),
+           factor=st.sampled_from(["f", "u"]))
+    def test_match_elementwise_sums(self, order, seed, rows, graded, factor):
+        # random elements of [0, 1], or meshes graded down to the floor
+        # EPS_MIN_FACTOR; a (K, E) batch carries (K, 1, 1) parameters
+        from ritzmesh import loads as ld
+        from ritzmesh.mesh import EPS_MIN_FACTOR
+        rng = np.random.default_rng(seed)
+        shape = (9,) if rows is None else (rows, 9)
+        if graded:
+            widths = 10.0 ** rng.uniform(np.log10(EPS_MIN_FACTOR), 0.0, size=shape)
+            widths[..., rng.integers(9)] = EPS_MIN_FACTOR
+            x = np.cumsum(np.concatenate([np.zeros(shape[:-1] + (1,)), widths], axis=-1),
+                          axis=-1)
+            x /= x[..., -1:]
+        else:
+            x = np.sort(rng.uniform(0.0, 1.0, size=shape[:-1] + (10,)), axis=-1)
+        pshape = () if rows is None else (rows, 1, 1)
+        alpha = rng.uniform(1.0, 50.0, size=pshape)
+        s = rng.uniform(0.05, 0.95, size=pshape)
+        fun, fun_prime = {"f": (ld._arctan_f, ld._arctan_fp),
+                          "u": (ld._uj, ld._ujp)}[factor]
+        fun, fun_prime = partial(fun, alpha, s), partial(fun_prime, alpha, s)
+        rule = gauss_legendre(order)
+        xl, xr = x[..., :-1], x[..., 1:]
+        values, derivs = line_hat_load_derivs(fun, fun_prime, xl, xr, rule)
+        want_values, want_derivs = _line_hat_load_derivs_oracle(fun, fun_prime, xl, xr, rule)
+        for g, w in zip(values + line_hat_loads(fun, xl, xr, rule),
+                        want_values + _line_hat_loads_oracle(fun, xl, xr, rule)):
+            assert g.shape == w.shape == xl.shape
+            assert np.linalg.norm(g - w) <= 1e-13 * np.linalg.norm(w)
+        # a derivative sums h P and -+V/2 = -+I/(2h), which can cancel: on
+        # a graded order-40 mesh both forms sat 2e-13 of the derivative's
+        # norm off an extended-precision value, so the bound is relative
+        # to the norm of the terms summed, not of their sum
+        half = 0.5 * (xr - xl)
+        for k, (g, w) in enumerate(zip(derivs, want_derivs)):
+            scale = np.linalg.norm(w) + np.linalg.norm(want_values[k // 2] / half)
+            assert g.shape == w.shape == xl.shape
+            assert np.linalg.norm(g - w) <= 1e-13 * scale
+
+    def test_moments_cached_read_only(self):
+        from ritzmesh import loads as ld
+        values, slopes = ld._hat_moments(7)
+        assert ld._hat_moments(7)[0] is values
+        assert values.shape == (7, 2) and slopes.shape == (7, 3)
+        for a in (values, slopes):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
 
 class TestLoadDerivatives:

@@ -296,6 +296,59 @@ class TestRefinement:
         assert history.rows[-1][0] == 12 and np.all(np.isfinite(history.column("J")))
 
 
+class TestBandPlan:
+    def test_symmetric_pattern_asymmetric_values_raise(self):
+        # the pattern is its own transpose; only the values differ
+        A = np.array([[2.0, 1.0], [1.0 + 1e-6, 2.0]])
+        with pytest.raises(SolverError, match="not symmetric"):
+            solve_spd(_system(A, np.ones(2)))
+
+    @pytest.mark.parametrize("make", [
+        lambda n: lshape(1.7, 0.4, n_elements=n),
+        lambda n: arctan2d(10.0, 0.3, 0.6, n_elements=n, order=4),
+    ], ids=["lshape", "arctan2d"])
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_factored_band_is_sla_band(self, monkeypatch, make, n):
+        # the band that dpbtrf receives, on free sets of graded meshes
+        # (lshape nodes cross the fixed lines x, y = 0.5)
+        problem = make(n)
+        rng = np.random.default_rng(n)
+        lookup = sla.get_lapack_funcs
+        seen = []
+
+        def recording(names, arrays):
+            pbtrf, pbtrs = lookup(names, arrays)
+
+            def pbtrf_copy(ab, **kwargs):
+                seen.append(ab.copy(order="K"))
+                return pbtrf(ab, **kwargs)
+            return pbtrf_copy, pbtrs
+
+        monkeypatch.setattr(solver.sla, "get_lapack_funcs", recording)
+        for scale in (0.3, 2.0):
+            system = evaluate(problem, rng.normal(0, scale, problem.theta_size)).system
+            assert solve_spd(system).method == "banded-cholesky"
+            assert seen[-1].flags.f_contiguous
+            np.testing.assert_array_equal(seen[-1], sla_band(system.B))
+
+    def test_plan_is_cached_and_read_only(self):
+        B = evaluate_uniform(lshape(1.0, 1.0, n_elements=8)).system.B
+        key = (B.indptr.tobytes(), B.indices.tobytes(), B.indices.dtype.str)
+        plan = solver._band_plan(*key)
+        assert solver._band_plan(*key) is plan
+        kd, lower, pos, perm = plan
+        assert kd + 1 == sla_band(B).shape[0]
+        np.testing.assert_array_equal(perm[perm], np.arange(B.nnz))
+        for a in (lower, pos, perm):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # an entry whose mirror is not stored maps to -1
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        *_, perm = solver._band_plan(A.indptr.tobytes(), A.indices.tobytes(),
+                                     A.indices.dtype.str)
+        np.testing.assert_array_equal(perm, [0, -1, 2])
+
+
 def sla_band(B):
     """Lower band storage of a canonical symmetric CSR matrix."""
     offsets = B.indices - np.repeat(np.arange(B.shape[0]), np.diff(B.indptr))

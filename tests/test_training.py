@@ -132,7 +132,8 @@ def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batc
     from ritzmesh import loads as ld
     from ritzmesh.energy import balanced_ritz, relative_error, ritz_gradient
     from ritzmesh.errors import SolverError
-    from ritzmesh.network import accumulate, lecun_init, mlp_backward, zero_grads
+    from ritzmesh.network import lecun_init, mlp_backward
+    from test_network import accumulate, zero_grads
     from ritzmesh.optim import AdamState, adam_step
     from ritzmesh.pipeline import evaluate, evaluate_mesh
     from ritzmesh.problems import make_problem
@@ -187,7 +188,7 @@ def _reference_train_parametric(family, grid, n_elements, schedule, epochs, batc
                     continue
                 ref = refs[sigma]
                 losses.append(balanced_ritz(ev.J, ref))
-                grad_logits = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c,
+                grad_logits = ritz_gradient(problem, ev.mesh, ev.system, ev.c,
                                             scale=1.0 / abs(ref))
                 accumulate(grads, mlp_backward(params, cache, grad_logits))
             iteration += 1
@@ -247,7 +248,8 @@ class TestEndToEndGradient:
         # full parametric chain: weights -> logits -> mesh -> assemble
         # -> solve -> balanced energy, averaged over a batch of 3
         from ritzmesh.energy import balanced_ritz, ritz_gradient
-        from ritzmesh.network import accumulate, lecun_init, mlp_backward, mlp_forward, zero_grads
+        from ritzmesh.network import lecun_init, mlp_backward, mlp_forward
+        from test_network import accumulate, zero_grads
         from ritzmesh.pipeline import evaluate
         from ritzmesh.problems import make_problem
 
@@ -272,7 +274,7 @@ class TestEndToEndGradient:
             problem = make_problem("arctan1d", sigma=sig, n_elements=n_elements)
             logits, cache = mlp_forward(params, grid.encode(sig))
             ev = evaluate(problem, logits)
-            g_logits = ritz_gradient(problem, ev.mesh, ev.labeling, ev.c,
+            g_logits = ritz_gradient(problem, ev.mesh, ev.system, ev.c,
                                      scale=1.0 / abs(refs[sig]))
             g = mlp_backward(params, cache, g_logits)
             accumulate(grads, g, weight=1.0 / len(batch))
