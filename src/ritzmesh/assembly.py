@@ -7,9 +7,9 @@ the free degrees of freedom; Dirichlet labeling is recomputed from the
 current node coordinates on every call, so it tracks moving nodes.
 
 The load vector is a node vector per axis in 1D and a sum of outer
-products of per-axis node vectors in 2D (loads.node_loads,
-loads.area_load_derivs); Neumann data enter it as point loads at the
-right end of an axis, so there are no separate boundary integrals.
+products of per-axis node vectors in 2D, Neumann data point loads at
+the right end of an axis.  The system keeps the element weights, load
+derivatives and cached pattern for the contraction and the solver.
 
 The gradient contraction differentiates the assembled Ritz energy
     E = 1/2 c^T B c - l . c
@@ -117,14 +117,29 @@ def stack_materials(materials):
         default=column([m.default for m in materials]))
 
 
+@dataclass(eq=False)
+class Pattern:
+    """A cached CSR pattern (see _scatter_pattern) and plan, the solver's
+    band plan for it, None until its first solve."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    op: sp.csr_matrix
+    plan: tuple | None = None
+
+
 @dataclass(frozen=True)
 class SparseSystem:
-    """Restricted SPD system: CSR stiffness over free DOFs plus load."""
+    """Restricted SPD system: CSR stiffness over free DOFs plus load, and
+    the parts (loads.hat_load_parts or area_load_derivs), weights and
+    Pattern it was assembled from."""
 
     B: sp.csr_matrix
     ell: np.ndarray
     labeling: DofLabeling
-    load_parts: object = None    # the gradient's: 1D hat loads, or area_load_derivs's pieces
+    load_parts: object = None
+    weights: tuple | None = None
+    pattern: Pattern | None = None
 
 
 def label_dirichlet(mesh, spec: str) -> DofLabeling:
@@ -187,16 +202,12 @@ def _connectivity_2d(nx, ny):
 
 @lru_cache(maxsize=8)
 def _scatter_pattern(grid_shape, free_bytes):
-    """Symbolic assembly for an element grid and a free-node set.
-
-    grid_shape is (n_elements,) in 1D and (nx, ny) in 2D; free_bytes is
-    the int64 free-node index array as bytes.  Returns (indptr, indices,
-    op): the restricted CSR pattern as int32 arrays, rows and columns in
-    the order of the free array with sorted column indices, and the
-    sparse operator from the concatenated raveled element weights of
-    _stiffness_weights to the CSR data, op @ w.  Entries touching a
-    Dirichlet node are left out.  Every array, op's too, is read-only.
-    """
+    """The Pattern of an element grid, (n_elements,) in 1D and (nx, ny)
+    in 2D, and a free-node set, the int64 free indices as bytes: the
+    restricted CSR indptr and indices (int32, rows and columns in free
+    order, columns sorted, Dirichlet entries left out) and the operator
+    op from the concatenated raveled _stiffness_weights to the CSR data,
+    op @ w.  Every array, op's too, is read-only."""
     if len(grid_shape) == 1:
         e = np.arange(grid_shape[0])
         conn = np.stack([e, e + 1], axis=1)
@@ -226,7 +237,7 @@ def _scatter_pattern(grid_shape, free_bytes):
     out = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, keys % free.size))
     for a in out + (op.data, op.indices, op.indptr):
         a.flags.writeable = False
-    return out + (op,)
+    return Pattern(*out, op)
 
 
 def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
@@ -236,25 +247,25 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     The load vector collects forcing integrals and the load's Neumann
     flux at the right end of each axis; entries at Dirichlet nodes,
     which may be non-finite for singular forcings, are dropped.  The
-    stiffness pattern and the operator from element weights to its
-    values come from _scatter_pattern, cached per element grid and free
-    set; each call computes the weights and one product.
+    stiffness values are the weights times the cached operator.
     """
     axes_nodes = [m.nodes for m in mesh.axes]
     _check_material_resolved(axes_nodes, material)
     if isinstance(mesh, Mesh1D):
         x = mesh.nodes
-        parts = ld.hat_loads(load, x[:-1], x[1:])
-        rhs = ld.node_loads(*parts, load.bind("flux")())
+        parts = ld.hat_load_parts(load, x[:-1], x[1:])
+        rhs = ld.node_loads(*parts[0], load.bind("flux")())
     else:
         parts = ld.area_load_derivs(load, *axes_nodes)
         rhs = sum(np.outer(ly, lx).ravel() for (lx, _), (ly, _) in parts)
-    indptr, indices, op = _scatter_pattern(tuple(m.n_elements for m in mesh.axes),
-                                           _free_bytes(labeling))
-    w = np.concatenate([g.ravel() for g in _stiffness_weights(axes_nodes, material)])
-    B = sp.csr_matrix((op @ w, indices, indptr), shape=(labeling.n_free, labeling.n_free))
+    pattern = _scatter_pattern(tuple(m.n_elements for m in mesh.axes), _free_bytes(labeling))
+    weights = _stiffness_weights(axes_nodes, material)
+    B = sp.csr_matrix((pattern.op @ np.concatenate([w.ravel() for w in weights]),
+                       pattern.indices, pattern.indptr), shape=(labeling.n_free,) * 2)
+    B.indices = pattern.indices    # not the constructor's view: the solver's key
     B.has_canonical_format = True
-    return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling, load_parts=parts)
+    return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling, load_parts=parts,
+                        weights=weights, pattern=pattern)
 
 
 def stiffness_batch_1d(x, boundary, material: MaterialField):
@@ -273,9 +284,9 @@ def stiffness_batch_1d(x, boundary, material: MaterialField):
     out = []
     for rows in groups.values():
         labeling = _labeling(mask[rows[0]])
-        indptr, indices, op = _scatter_pattern((x.shape[-1] - 1,), _free_bytes(labeling))
-        out.append((rows, labeling, indptr, indices,
-                    np.ascontiguousarray((op @ w[rows].T).T)))
+        pattern = _scatter_pattern((x.shape[-1] - 1,), _free_bytes(labeling))
+        out.append((rows, labeling, pattern.indptr, pattern.indices,
+                    np.ascontiguousarray((pattern.op @ w[rows].T).T)))
     return out
 
 
@@ -290,9 +301,9 @@ def _stiffness_weights(axes_nodes, material: MaterialField):
     coeff*hx/hy of _AY, x nodes as a row, so elements run x fastest."""
     if len(axes_nodes) == 1:
         (x,) = axes_nodes
-        return (material.value_at(0.5 * (x[..., :-1] + x[..., 1:])) / np.diff(x),)
+        return (material.value_at(0.5 * (x[..., :-1] + x[..., 1:])) / (x[..., 1:] - x[..., :-1]),)
     xs, ys = axes_nodes[0], axes_nodes[1][:, None]
-    hx, hy = np.diff(xs), np.diff(ys, axis=0)
+    hx, hy = xs[1:] - xs[:-1], ys[1:] - ys[:-1]
     coeff = material.value_at(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]))
     return coeff * (hy / hx), coeff * (hx / hy)
 
@@ -306,15 +317,13 @@ def assembly_gradient_contraction(mesh, system: SparseSystem, material: Material
     node coordinates; no derivative of the solve is needed.  Entries
     for pinned coordinates (interval endpoints, fixed nodes) are
     computed too and zeroed later by the mesh pullback.  The Neumann
-    point loads sit at the fixed end b and do not move.
-
-    Returns one gradient per axis of the mesh, over that axis's node
-    coordinates: (grad,) in 1D and (grad_x, grad_y) in 2D.
+    point loads sit at the fixed end b and do not move.  Returns one
+    gradient per axis, x first.
     """
     c_full = system.labeling.full_vector(c_free)
     if isinstance(mesh, Mesh1D):
         return (contraction_1d(mesh.nodes, material, load, c_full, system.load_parts),)
-    return _contraction_2d(mesh, material, system.load_parts, c_full)
+    return _contraction_2d(mesh, system, c_full)
 
 
 def _load_contraction(grad, w, derivs):
@@ -327,11 +336,11 @@ def _load_contraction(grad, w, derivs):
     grad[..., 1:] -= wl * dIl_dxr + wr * dIr_dxr
 
 
-def contraction_1d(x, material, load, c_full, values=None):
+def contraction_1d(x, material, load, c_full, parts=(None, None)):
     """The 1D contraction on nodes x with node coefficients c_full, or on
     each row of (K, M) arrays with a stacked load (loads.stack_loads);
-    values are the hat loads of x when the caller has them."""
-    h = np.diff(x)
+    parts are loads.hat_load_parts of x when the caller has them."""
+    h = x[..., 1:] - x[..., :-1]
     coeff = material.value_at(0.5 * (x[..., :-1] + x[..., 1:]))
     dc = c_full[..., 1:] - c_full[..., :-1]
     # stiffness part: d/dh of coeff/(2h) (c_r - c_l)^2
@@ -340,24 +349,24 @@ def contraction_1d(x, material, load, c_full, values=None):
     grad[..., :-1] -= s
     grad[..., 1:] += s
     # load part; c_full is zero at Dirichlet nodes
-    derivs = ld.hat_load_derivs(load, x[..., :-1], x[..., 1:], values)
+    derivs = ld.hat_load_derivs(load, x[..., :-1], x[..., 1:], *parts)
     _load_contraction(grad, c_full, derivs)
     return grad
 
 
-def _contraction_2d(mesh, material, load_parts, c_full):
+def _contraction_2d(mesh, system, c_full):
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
-    wx, wy = _stiffness_weights([xs, ys], material)
+    wx, wy = system.weights
     C = c_full.reshape(ys.size, xs.size)
     # element energy wx a + wy b: a = (p^2 + pq + q^2)/6 for the x differences
     # p, q of C on its bottom and top, b the same for those in y on its sides
-    cx, cy = np.diff(C, axis=1), np.diff(C, axis=0)
+    cx, cy = C[:, 1:] - C[:, :-1], C[1:] - C[:-1]
     a = (cx[:-1] * cx[:-1] + cx[:-1] * cx[1:] + cx[1:] * cx[1:]) / 6.0
     b = (cy[:, :-1] * cy[:, :-1] + cy[:, :-1] * cy[:, 1:] + cy[:, 1:] * cy[:, 1:]) / 6.0
     # its d/dhx is -t/hx and its d/dhy is t/hy; sum them over columns and rows
     t = wx * a - wy * b
-    s_x = -(t / np.diff(xs)).sum(axis=0)
-    s_y = (t / np.diff(ys)[:, None]).sum(axis=1)
+    s_x = -(t / (xs[1:] - xs[:-1])).sum(axis=0)
+    s_y = (t / (ys[1:] - ys[:-1])[:, None]).sum(axis=1)
     grad_x = np.zeros_like(xs)
     grad_y = np.zeros_like(ys)
     grad_x[:-1] -= s_x
@@ -365,7 +374,7 @@ def _contraction_2d(mesh, material, load_parts, c_full):
     grad_y[:-1] -= s_y
     grad_y[1:] += s_y
 
-    for (lx, dx), (ly, dy) in load_parts:
+    for (lx, dx), (ly, dy) in system.load_parts:
         _load_contraction(grad_x, C.T @ ly, dx)
         _load_contraction(grad_y, C @ lx, dy)
     return grad_x, grad_y

@@ -21,9 +21,10 @@ ENERGY_SLACK = 1e-9
 RADICAND_CLAMP = 1e-12
 
 
-def ritz_energy(system, c):
-    """1/2 (B c) . c - ell . c, one SpMV and two dot products."""
-    return ritz_energy_of(system.B @ c, system.ell, c)
+def ritz_energy(system, c, Bc=None):
+    """1/2 (B c) . c - ell . c, two dot products and one SpMV unless the
+    caller passes Bc."""
+    return ritz_energy_of(system.B @ c if Bc is None else Bc, system.ell, c)
 
 
 def ritz_energy_of(Bc, ell, c):
@@ -86,8 +87,8 @@ def ritz_gradient(problem, mesh, system, c_free, scale=1.0):
     gradient back through the mesh construction to the logits.  For a
     balanced loss, pass scale = 1/|J_uniform_ref|.  Returns the gradient
     over the logits (theta in the direct mode, the network output in
-    parametric mode); one block per axis, x first.
+    parametric mode); one block per axis, x first, from one pullback.
     """
     grads = assembly_gradient_contraction(mesh, system, problem.material, problem.load, c_free)
-    return scale * np.concatenate([mesh_pullback(g, m.record, p) for g, m, p in
-                                   zip(grads, mesh.axes, problem.mesh_params())])
+    g = mesh_pullback(np.reshape(grads, mesh.record.order.shape), mesh.record, problem.axis_params)
+    return scale * g.ravel()

@@ -1,30 +1,25 @@
 """Forcing families: elementwise load integrals, exactly or by quadrature.
 
-FAMILIES maps each family name to one Forcing record holding the
-family's functions of x: the value f, its derivative f', the
-antiderivative pair F(x) = int f dx and G(x) = int x f dx and the
-Neumann flux u'(b) of its manufactured solution, or for a 2D family
-its separable terms.  A LoadSpec binds its parameters to them with
-LoadSpec.bind.  With F and G the load of an affine shape function over
-an element is exact to roundoff:
+FAMILIES maps each family name to one Forcing record: the value f, its
+derivative f', the antiderivatives F(x) = int f dx and G(x) = int x f dx
+and the Neumann flux u'(b) of the manufactured solution, or for a 2D
+family its axis factors and the table of its separable terms;
+LoadSpec.bind binds a load's parameters to them.  With F and G the load
+of an affine shape function over an element is exact to roundoff:
 
     int_{xl}^{xr} f(x) (a0 + a1 x) dx = a0 (F(xr) - F(xl)) + a1 (G(xr) - G(xl)).
 
-Per-element hat loads and their derivatives with respect to element
-endpoints follow from the Leibniz rule; these derivatives feed the
-assembly gradient.  The quadrature path maps a Gauss-Legendre rule
-affinely and therefore has closed endpoint derivatives as well.
-
-node_loads assembles the per-element loads of one axis into a node
-vector: falling-hat loads at each element's left node, rising-hat
-loads at its right node, and the Neumann flux as a point load at the
-right end b.  A 2D forcing is a sum of products of 1D factors, each
-with its own flux at b, so its tensor rule over bilinear hats factors
-too: the 2D load vector is the sum over terms of outer products of the
-two axes' node vectors, and the edge fluxes are these point loads.
+Hat loads and their element-endpoint derivatives, which feed the
+assembly gradient, follow from the Leibniz rule; an affinely mapped
+Gauss-Legendre rule has closed endpoint derivatives too, formed with the
+loads from one integrand evaluation.  node_loads puts one axis's loads
+on its nodes, the Neumann flux as a point load at its right end b.  A 2D
+forcing is a sum of products of 1D factors, each with its flux at b, so
+its tensor rule over bilinear hats factors too: the load vector is a sum
+of outer products of the axes' node vectors, all from one evaluation.
 
 Families (a record field is None where the family does not support it):
-    constant       f = c                                 (exact; 2D: (c, 1) terms)
+    constant       f = c                                 (exact; 2D: the (c, 1) term)
     arctan1d       f = 2 a^3 (x-s) / (1 + a^2 (x-s)^2)^2 (exact)
     power          f = sg (1-sg) x^(sg-2)                (exact only; no f')
     sine_material  f = 4 pi^2 sin(2 pi x)                (exact)
@@ -83,8 +78,8 @@ class LoadSpec:
         return gauss_legendre(self.order)
 
     def bind(self, name):
-        """The family's function `name` ("f", "fp", "F", "G", "flux" or "terms")
-        with this load's parameters bound as leading arguments."""
+        """The family's function `name` ("f", "fp", "F", "G", "flux",
+        "factors" or "fluxes") with the load's parameters bound first."""
         forcing = FAMILIES[self.family]
         fun = getattr(forcing, name)
         if fun is None:
@@ -196,22 +191,29 @@ def _ujp(alpha, s, t):
     return alpha / (1.0 + (alpha * (t - s)) ** 2)
 
 
-def _constant_terms(c):
-    """f = c as the one term c(x) * 1(y), each factor without flux."""
-    return (((partial(_constant_f, c), partial(_constant_fp, c), 0.0),
-             (partial(_constant_f, 1.0), partial(_constant_fp, 1.0), 0.0)),)
+def _constant_factors(c, x):
+    """f = c(x) 1(y): the factors [c, 1] at points x and their slopes."""
+    values = np.stack([_constant_f(c, x), _constant_f(1.0, x)])
+    return values, np.zeros_like(values)
 
 
-def _arctan2d_terms(alpha, s1, s2):
-    """f = f1(x) u2(y) + u1(x) f2(y), each term a pair of 1D factors
-    (value, derivative, flux at b) of x and of y.  The Neumann data
-    du/dx = u1'(1) u2(y) at x = 1 and du/dy = u1(x) u2'(1) at y = 1 are
-    the fluxes of f1 and f2: u1'(1) and u2'(1)."""
-    f1 = (partial(_arctan_f, alpha, s1), partial(_arctan_fp, alpha, s1), _ujp(alpha, s1, 1.0))
-    f2 = (partial(_arctan_f, alpha, s2), partial(_arctan_fp, alpha, s2), _ujp(alpha, s2, 1.0))
-    u1 = (partial(_uj, alpha, s1), partial(_ujp, alpha, s1), 0.0)
-    u2 = (partial(_uj, alpha, s2), partial(_ujp, alpha, s2), 0.0)
-    return ((f1, u2), (u1, f2))
+def _arctan2d_factors(alpha, s1, s2, x):
+    """f = f1(x) u2(y) + u1(x) f2(y): at points x of axis j, x's first
+    dimension, the factors [f_j, u_j] of s_j and their slopes, by the
+    expressions of _arctan_f, _arctan_fp, _uj and _ujp (for their bits)
+    sharing t = x - s_j."""
+    s = np.reshape([s1, s2], (2,) + (1,) * (np.ndim(x) - 1))
+    t = x - s
+    at = alpha * t
+    a2t2 = at**2
+    d = 1.0 + a2t2
+    a3 = 2.0 * _param_pow(alpha, 3)
+    values, slopes = np.empty((2, 2) + t.shape)
+    np.divide(a3 * t, d**2, out=values[0])
+    np.add(np.arctan(at), np.arctan(alpha * s), out=values[1])
+    np.divide(a3 * (1.0 - 3.0 * a2t2), d**3, out=slopes[0])
+    np.divide(alpha, d, out=slopes[1])
+    return values, slopes
 
 
 def arctan1d_neumann(alpha, s):
@@ -231,9 +233,11 @@ def _no_flux(*params):
 @dataclass(frozen=True)
 class Forcing:
     """One forcing family.  Every function takes the values of the
-    parameters named in `keys`, in that order, then x (flux and terms
-    take the parameters only); None marks what the family does not
-    support."""
+    parameters named in `keys`, in that order, then x (fluxes take the
+    parameters only); None marks what the family does not support.  2D
+    factors stack every axis factor and its slope at points whose first
+    dimension is the axis, x first; fluxes gives them per (factor, axis);
+    a term is an (x factor, y factor) pair."""
 
     keys: tuple
     f: Callable | None
@@ -241,17 +245,24 @@ class Forcing:
     F: Callable | None
     G: Callable | None
     flux: Callable = _no_flux        # 1D: Neumann flux u'(b), a point load at b
-    terms: Callable | None = None    # 2D: separable ((fx, fx', gx), (fy, fy', gy)) terms
+    factors: Callable | None = None
+    fluxes: Callable | None = None
+    terms: tuple = ()
 
 
 FAMILIES = {
     "constant": Forcing(("value",), _constant_f, _constant_fp, _constant_F, _constant_G,
-                        terms=_constant_terms),
+                        factors=_constant_factors, fluxes=lambda c: np.zeros((2, 2)),
+                        terms=((0, 1),)),
     "arctan1d": Forcing(("alpha", "s"), _arctan_f, _arctan_fp, _arctan_F, _arctan_G,
                         flux=arctan1d_neumann),
     "power": Forcing(("sigma",), _power_f, None, _power_F, _power_G, flux=power_neumann),
     "sine_material": Forcing((), _sine_f, _sine_fp, _sine_F, _sine_G),
-    "arctan2d": Forcing(("alpha", "s1", "s2"), None, None, None, None, terms=_arctan2d_terms),
+    "arctan2d": Forcing(("alpha", "s1", "s2"), None, None, None, None,
+                        factors=_arctan2d_factors, terms=((0, 1), (1, 0)),
+                        # du/dx = u1'(1) u2(y) at x = 1, du/dy = u1(x) u2'(1) at y = 1
+                        fluxes=lambda alpha, s1, s2: ((_ujp(alpha, s1, 1.0),
+                                                       _ujp(alpha, s2, 1.0)), (0.0, 0.0))),
 }
 
 
@@ -259,15 +270,11 @@ FAMILIES = {
 # exact elementwise integrals
 
 def hat_loads_exact(load: LoadSpec, xl, xr):
-    """Loads of the falling and rising hats on elements [xl, xr].
-
-    Falling hat: (xr - x)/h, value at a node that may sit at a forcing
-    singularity; entries there come out +/-inf and must belong to
-    constrained nodes.  Rising hat: (x - xl)/h, always finite for the
-    supported families.
+    """Loads of the falling and rising hats on elements [xl, xr]: the
+    falling hat (xr - x)/h's may be +/-inf at a forcing singularity, where
+    the node must be constrained; the rising hat (x - xl)/h's are finite.
     """
-    xl = np.asarray(xl, dtype=float)
-    xr = np.asarray(xr, dtype=float)
+    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
     h = xr - xl
     if load.family == "power":
         sg = load.params["sigma"]
@@ -288,18 +295,13 @@ def hat_loads_exact(load: LoadSpec, xl, xr):
 
 
 def hat_load_derivs_exact(load: LoadSpec, xl, xr, values=None):
-    """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr).
-
-    values: the (I_l, I_r) of hat_loads_exact on the same elements, if
-    the caller has them; otherwise they are computed here.
-
-    For the power family, entries tied to a left endpoint at the
-    singularity are returned as 0; they are either multiplied by a
-    constrained (zero) coefficient or scattered to the pinned interval
-    endpoint, so their true (divergent) values never enter a gradient.
+    """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr), from the
+    (I_l, I_r) of hat_loads_exact if the caller passes them as values.
+    Power-family entries tied to a left endpoint at the singularity are
+    0: a constrained (zero) coefficient or the pinned interval end takes
+    them, so their divergent values never enter a gradient.
     """
-    xl = np.asarray(xl, dtype=float)
-    xr = np.asarray(xr, dtype=float)
+    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
     h = xr - xl
     F, f = load.bind("F"), load.bind("f")
     I_l, I_r = hat_loads_exact(load, xl, xr) if values is None else values
@@ -337,24 +339,23 @@ def line_hat_loads(fun, xl, xr, rule: QuadratureRule):
     return h * V[..., 0], h * V[..., 1]
 
 
-def line_hat_load_derivs(fun, fun_prime, xl, xr, rule: QuadratureRule):
-    """Endpoint derivatives of the quadrature hat loads (exact derivatives
-    of the quadrature approximation, not of the underlying integral).
-
-    Returns ((I_l, I_r), (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr)): the
-    loads of line_hat_loads, bitwise, from the same integrand
-    evaluation, and their derivatives.  A point moves with xl and xr by
-    1 - lam and lam, and h by -1/2 and 1/2, so with P = fun_prime(points)
-    @ _hat_moments[1]: dIl/dxl = h P0 - V0/2, dIl/dxr = h P1 + V0/2,
-    dIr/dxl = h P1 - V1/2 and dIr/dxr = h P2 + V1/2.
+def line_hat_load_derivs(fun, xl, xr, rule: QuadratureRule):
+    """((I_l, I_r), [dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr]): the loads of
+    line_hat_loads, bitwise, and their exact endpoint derivatives, from
+    one evaluation fun(points) = (values, slopes) of the integrand and its
+    derivative (values may stack integrands ahead of the points' shape).
+    A point moves with xl and xr by 1 - lam and lam, and h by -1/2 and
+    1/2, so with P = slopes @ _hat_moments[1]: dIl/dxl = h P0 - V0/2,
+    dIl/dxr = h P1 + V0/2, dIr/dxl = h P1 - V1/2, dIr/dxr = h P2 + V1/2.
     """
-    pts, _ = rule.mapped(xl, xr)
-    values, slopes = _hat_moments(rule.order)
-    V, P = fun(pts) @ values, fun_prime(pts) @ slopes
-    h = 0.5 * (np.asarray(xr, dtype=float) - np.asarray(xl, dtype=float))
-    V0, V1, hP = V[..., 0], V[..., 1], h[..., None] * P
-    return ((h * V0, h * V1), (hP[..., 0] - 0.5 * V0, hP[..., 1] + 0.5 * V0,
-                               hP[..., 1] - 0.5 * V1, hP[..., 2] + 0.5 * V1))
+    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
+    h = 0.5 * (xr - xl)    # as QuadratureRule.mapped forms the points
+    values, slopes = fun((0.5 * (xr + xl))[..., None] + h[..., None] * rule.points)
+    moments, slope_moments = _hat_moments(rule.order)
+    V, P = values @ moments, slopes @ slope_moments
+    # h P_k -+ V_j / 2 for (k, j) = (0, 0), (1, 0), (1, 1), (2, 1), in one pass
+    derivs = h[..., None] * P[..., [0, 1, 1, 2]] + 0.5 * V[..., [0, 0, 1, 1]] * [-1, 1, -1, 1]
+    return (h * V[..., 0], h * V[..., 1]), np.moveaxis(derivs, -1, 0)
 
 
 def hat_loads(load: LoadSpec, xl, xr):
@@ -364,12 +365,22 @@ def hat_loads(load: LoadSpec, xl, xr):
     return line_hat_loads(load.bind("f"), xl, xr, load.rule())
 
 
-def hat_load_derivs(load: LoadSpec, xl, xr, values=None):
-    """Dispatch 1D hat-load derivatives; exact mode reuses the loads
-    `values` of hat_loads when given."""
+def hat_load_parts(load: LoadSpec, xl, xr):
+    """(hat_loads's values, derivs): in quadrature mode their derivatives
+    from one integrand evaluation; None in exact mode, whose
+    hat_load_derivs forms them from the values."""
+    if load.mode == "exact":
+        return hat_loads(load, xl, xr), None
+    f, fp = load.bind("f"), load.bind("fp")
+    return line_hat_load_derivs(lambda x: (f(x), fp(x)), xl, xr, load.rule())
+
+
+def hat_load_derivs(load: LoadSpec, xl, xr, values=None, derivs=None):
+    """Dispatch 1D hat-load derivatives, from hat_load_parts's (values,
+    derivs) when given."""
     if load.mode == "exact":
         return hat_load_derivs_exact(load, xl, xr, values)
-    return line_hat_load_derivs(load.bind("f"), load.bind("fp"), xl, xr, load.rule())[1]
+    return hat_load_parts(load, xl, xr)[1] if derivs is None else derivs
 
 
 # ---------------------------------------------------------------------------
@@ -377,48 +388,41 @@ def hat_load_derivs(load: LoadSpec, xl, xr, values=None):
 
 def node_loads(I_l, I_r, flux=0.0):
     """Node vector of one axis from its per-element (falling, rising) hat
-    loads, with the Neumann flux as a point load at the last node; (K, E)
-    loads and a (K, 1) flux give one vector per row."""
-    end = np.shape(I_l)[:-1] + (1,)
-    return (np.concatenate([I_l, np.broadcast_to(flux, end)], axis=-1)
-            + np.concatenate([np.zeros(end), I_r], axis=-1))
+    loads, with the Neumann flux as a point load at the last node; loads
+    with leading axes and a flux broadcasting to them with a trailing 1
+    give one vector per row."""
+    out = np.zeros(np.shape(I_l)[:-1] + (np.shape(I_l)[-1] + 1,))
+    out[..., :-1] += I_l
+    out[..., 1:] += I_r
+    out[..., -1:] += flux
+    return out
 
 
 def area_loads(load: LoadSpec, xs, ys):
-    """Bilinear hat loads over the tensor mesh on axis nodes xs, ys.
-
-    Returns the load vector over all nodes, x fastest, Neumann edge
-    fluxes at x = xs[-1] and y = ys[-1] included.  A separable forcing
-    sum_k fx_k(x) fy_k(y) under the tensor Gauss-Legendre rule factors
-    into 1D hat loads, so each term's load vector is the outer product
-    of its two axes' node vectors.  Assembly uses area_load_derivs.
-    """
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    rule = load.rule()
-
-    def axis(fun, flux, nodes):
-        return node_loads(*line_hat_loads(fun, nodes[:-1], nodes[1:], rule), flux)
-
-    return sum(np.outer(axis(fy, gy, ys), axis(fx, gx, xs)).ravel()
-               for (fx, _, gx), (fy, _, gy) in load.bind("terms")())
+    """Bilinear hat loads over the tensor mesh on axis nodes xs, ys, x
+    fastest, Neumann edge fluxes at x = xs[-1] and y = ys[-1] included: a
+    separable forcing sum_k fx_k(x) fy_k(y) under the tensor rule factors,
+    so term k's loads are the outer product of its axes' node vectors."""
+    return sum(np.outer(ly, lx).ravel() for (lx, _), (ly, _) in area_load_derivs(load, xs, ys))
 
 
 def area_load_derivs(load: LoadSpec, xs, ys):
-    """The per-axis pieces of area_loads and their node derivatives.
-
-    Returns one ((lx, dx), (ly, dy)) pair per term: each axis factor's
-    node vector l, bitwise as area_loads forms it, and the endpoint
-    derivatives d = (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) of its hat
-    loads, from one evaluation of the factor and its derivative per axis.
-    """
+    """One ((lx, dx), (ly, dy)) per term: each axis factor's node vector l
+    and its hat loads' stacked endpoint derivatives d, from one
+    line_hat_load_derivs on the axes as rows (the shorter led by empty
+    elements)."""
+    forcing = FAMILIES[load.family]
     xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    rule = load.rule()
-
-    def axis(fun, fun_prime, flux, nodes):
-        values, derivs = line_hat_load_derivs(fun, fun_prime, nodes[:-1], nodes[1:], rule)
-        return node_loads(*values, flux), derivs
-
-    return [(axis(*fx, xs), axis(*fy, ys)) for fx, fy in load.bind("terms")()]
+    m = max(xs.size, ys.size)
+    nodes = np.empty((2, m))
+    for row, axis in zip(nodes, (xs, ys)):
+        row[:m - axis.size], row[m - axis.size:] = axis[0], axis
+    values, derivs = line_hat_load_derivs(load.bind("factors"), nodes[:, :-1], nodes[:, 1:],
+                                          load.rule())
+    loads = node_loads(*values, np.asarray(load.bind("fluxes")())[..., None])
+    x0, y0 = m - xs.size, m - ys.size    # where each axis's own nodes start
+    return [((loads[i, 0, x0:], derivs[:, i, 0, x0:]), (loads[j, 1, y0:], derivs[:, j, 1, y0:]))
+            for i, j in forcing.terms]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ gradients with respect to the sorted node coordinates can be pulled
 back to gradients with respect to the logits.
 
 A mesh is read through its ``axes``, x first: a Mesh1D is the one-axis
-case, a TensorMesh2D the tensor product of two such axes.
+case, a TensorMesh2D the tensor product of two such axes, built as the
+rows of one softmax_nodes batch whose record one mesh_pullback reads.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +104,7 @@ class Mesh1D:
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least two nodes")
-        _check_lengths(nodes, nodes[-1] - nodes[0])
+        check_lengths(nodes, nodes[-1] - nodes[0])
         return cls(nodes=nodes, record=None)
 
 
@@ -113,6 +114,7 @@ class TensorMesh2D:
 
     mesh_x: Mesh1D
     mesh_y: Mesh1D
+    record: ConstructionRecord | None = None    # rows: the axes' records
 
     @property
     def axes(self):
@@ -136,16 +138,21 @@ def softmax_partition(theta):
 
 
 def build_mesh_1d(params: MeshParams1D) -> Mesh1D:
-    """Realize logits (plus fixed interior nodes) as a sorted mesh.
-
-    Raises DegenerateMeshError if any element is shorter than
-    EPS_MIN_FACTOR * (b - a), which also covers sort ties (the gradient
-    is undefined there).
-    """
+    """Realize logits (plus fixed interior nodes) as a sorted mesh; raises
+    DegenerateMeshError for an element shorter than EPS_MIN_FACTOR * (b - a),
+    sort ties (where the gradient is undefined) included."""
     a, b = params.interval
     nodes, record = softmax_nodes(params.theta, params)
-    _check_lengths(nodes, b - a)
+    check_lengths(nodes, b - a)
     return Mesh1D(nodes=nodes, record=record)
+
+
+def mesh_of_rows(nodes, record):
+    """The Mesh1D or TensorMesh2D of the rows of softmax_nodes's output."""
+    axes = [Mesh1D(row, ConstructionRecord(order, record.n_adaptive, adaptive, delta))
+            for row, order, adaptive, delta in
+            zip(nodes, record.order, record.adaptive, record.delta)]
+    return axes[0] if len(axes) == 1 else TensorMesh2D(*axes, record=record)
 
 
 def softmax_nodes(theta, params: MeshParams1D):
@@ -161,14 +168,14 @@ def softmax_nodes(theta, params: MeshParams1D):
     delta = softmax_partition(theta)
     n = delta.shape[-1]
     lead = delta.shape[:-1]
-    chain = np.empty(lead + (n + 1,))
-    chain[..., 0] = a
-    chain[..., 1:] = a + (b - a) * np.cumsum(delta, axis=-1)
-    chain[..., n] = b
-    fixed = np.broadcast_to(params.fixed_interior, lead + params.fixed_interior.shape)
-    unsorted = np.concatenate([chain, fixed], axis=-1)
+    # the chain x_0..x_n, then the fixed nodes
+    unsorted = np.empty(lead + (n + 1 + params.fixed_interior.size,))
+    unsorted[..., 0] = a
+    unsorted[..., 1:n + 1] = a + (b - a) * np.cumsum(delta, axis=-1)
+    unsorted[..., n] = b
+    unsorted[..., n + 1:] = params.fixed_interior
     order = np.argsort(unsorted, axis=-1, kind="stable")
-    nodes = np.take_along_axis(unsorted, order, axis=-1)
+    nodes = np.sort(unsorted, axis=-1, kind="stable")    # unsorted[order]
     return nodes, ConstructionRecord(order=order, n_adaptive=n, adaptive=order <= n,
                                      delta=delta)
 
@@ -208,7 +215,7 @@ def mesh_pullback(grad_nodes, record: ConstructionRecord, params: MeshParams1D):
 def degenerate_rows(nodes, span):
     """Per row of (K, M) nodes, a DegenerateMeshError for the row's first
     element shorter than EPS_MIN_FACTOR * span, or None."""
-    lengths = np.diff(nodes)
+    lengths = nodes[..., 1:] - nodes[..., :-1]
     eps_min = EPS_MIN_FACTOR * span
     errors = [None] * len(nodes)
     for k, e in zip(*np.nonzero(lengths < eps_min)):
@@ -219,7 +226,8 @@ def degenerate_rows(nodes, span):
     return errors
 
 
-def _check_lengths(nodes, span):
-    error = degenerate_rows(nodes[None], span)[0]
-    if error is not None:
-        raise error
+def check_lengths(nodes, span):
+    """Raise the first error of degenerate_rows on a row or rows of nodes."""
+    for error in degenerate_rows(np.atleast_2d(nodes), span):
+        if error is not None:
+            raise error

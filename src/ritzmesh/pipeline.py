@@ -43,7 +43,7 @@ def evaluate_mesh(problem, mesh) -> Evaluation:
     system = assemble_system(mesh, labeling, problem.material, problem.load)
     report = solve_spd(system)
     return Evaluation(mesh=mesh, labeling=labeling, system=system, report=report,
-                      J=ritz_energy(system, report.c))
+                      J=ritz_energy(system, report.c, report.Bc))
 
 
 def evaluate(problem, theta=None) -> Evaluation:
@@ -112,7 +112,7 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
     if first.dim == 2:
         _evaluate_each(problems, logits, scales, out)
         return out
-    (params,) = first.mesh_params()
+    params = first.axis_params
     if logits is None:
         out.nodes = np.repeat(first.uniform_mesh().nodes[None], K, axis=0)
     else:
@@ -124,15 +124,15 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
     x = out.nodes[live]
     material = stack_materials([problems[k].material for k in live])
     load = ld.stack_loads([problems[k].load for k in live])
-    values = ld.hat_loads(load, x[:, :-1], x[:, 1:])
+    parts = ld.hat_load_parts(load, x[:, :-1], x[:, 1:])
     flux = np.array([[problems[k].load.bind("flux")()] for k in live])
-    c_full = _solve_1d(first.boundary, x, material, ld.node_loads(*values, flux), live, out)
+    c_full = _solve_1d(first.boundary, x, material, ld.node_loads(*parts[0], flux), live, out)
     solved = live[out.kept[live]]
     if scales is None or solved.size == 0:
         return out
     # rows are independent and a failed solve leaves c zero, so every live row is contracted
     grad_nodes = np.zeros_like(out.nodes)
-    grad_nodes[live] = contraction_1d(x, material, load, c_full, values)
+    grad_nodes[live] = contraction_1d(x, material, load, c_full, parts)
     grad = np.asarray(scales, dtype=float)[:, None] * mesh_pullback(grad_nodes, record, params)
     out.grad[solved] = grad[solved]
     return out

@@ -11,21 +11,21 @@ Five families, each a Poisson-type boundary-value problem on (0,1) or
 
 A ProblemSpec bundles the domain, boundary spec, material field, load
 and the per-axis fixed nodes; factories below fill in the manufactured
-data for each family.  A problem is a tuple of axes, x first, each with
-its interval, fixed nodes and block of logits; 1D is the one-axis case.
-Neumann data belong to the load: its family's flux at the right end b
-of each axis.
+data for each family.  A problem is a tuple of axes, x first, sharing
+their interval and fixed nodes, each with its block of logits, a row of
+one softmax batch; 1D is the one-axis case.  Neumann data belong to the
+load: its family's flux at the right end b of each axis.
 """
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 
 from . import loads as ld
 from .assembly import MaterialField
 from .errors import ConfigurationError
-from .mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d
+from .mesh import Mesh1D, MeshParams1D, TensorMesh2D, check_lengths, mesh_of_rows, softmax_nodes
 
 
 @dataclass(frozen=True)
@@ -48,59 +48,58 @@ class ProblemSpec:
         fixed = self.fixed_nodes
         if self.dim == 2 and (len(fixed) != 2 or not all(isinstance(f, tuple) for f in fixed)):
             raise ConfigurationError("2D problems need per-axis fixed node tuples")
+        if len(self.domain) != self.dim or self.dim == 2 and (
+                fixed[0] != fixed[1] or self.domain[0] != self.domain[1]):
+            raise ConfigurationError(
+                "every axis needs one interval, and 2D axes the same interval and fixed nodes")
 
-    def _axis_fixed(self):
-        """Fixed interior nodes per axis, x first; a 1D spec stores one flat tuple."""
-        per_axis = (self.fixed_nodes,) if self.dim == 1 else self.fixed_nodes
-        return [np.asarray(f, dtype=float) for f in per_axis]
-
-    def n_logits(self, axis=0):
-        """Softmax chain length so the axis has exactly n_elements elements."""
-        n = self.n_elements - self._axis_fixed()[axis].size
-        if n < 1:
+    @cached_property
+    def axis_params(self):
+        """The MeshParams1D at zero logits that every axis shares, validated
+        once: interval, fixed nodes and a chain giving n_elements."""
+        fixed = np.asarray(self.fixed_nodes if self.dim == 1 else self.fixed_nodes[0], dtype=float)
+        if self.n_elements - fixed.size < 1:
             raise ConfigurationError("n_elements leaves no adaptive freedom")
-        return n
+        return MeshParams1D(theta=np.zeros(self.n_elements - fixed.size), fixed_interior=fixed,
+                            interval=self.domain[0])
 
     @property
     def theta_size(self):
-        return sum(self.n_logits(axis) for axis in range(self.dim))
+        return self.dim * self.axis_params.n
+
+    def _logit_rows(self, theta):
+        """A flat logit vector (zeros if None) holding the axes' blocks, x
+        first, as one row per axis."""
+        t = np.zeros(self.theta_size) if theta is None else np.asarray(theta, dtype=float)
+        if t.size != self.theta_size:
+            raise ValueError(f"theta has size {t.size}, expected {self.theta_size}")
+        return t.reshape(self.dim, -1)
 
     def mesh_params(self, theta=None):
-        """One MeshParams1D per axis, x first, from a flat logit vector
-        holding the axes' blocks in that order."""
-        sizes = [self.n_logits(axis) for axis in range(self.dim)]
-        t = np.zeros(sum(sizes)) if theta is None else np.asarray(theta, dtype=float)
-        if t.size != sum(sizes):
-            raise ValueError(f"theta has size {t.size}, expected {sum(sizes)}")
-        blocks = [t[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
-        return tuple(MeshParams1D(theta=block, fixed_interior=fixed, interval=interval)
-                     for block, fixed, interval in zip(blocks, self._axis_fixed(), self.domain))
+        """One MeshParams1D per axis, x first, from a flat logit vector."""
+        return tuple(replace(self.axis_params, theta=row) for row in self._logit_rows(theta))
 
     def build_mesh(self, theta=None):
-        return _mesh_of([build_mesh_1d(p) for p in self.mesh_params(theta)])
+        """The mesh of a flat logit vector, its axes' blocks the rows of one
+        softmax_nodes and one check_lengths."""
+        nodes, record = softmax_nodes(self._logit_rows(theta), self.axis_params)
+        check_lengths(nodes, self.axis_params.interval[1] - self.axis_params.interval[0])
+        return mesh_of_rows(nodes, record)
 
     def uniform_mesh(self):
         """The equispaced reference mesh of the same size."""
-        n = self.n_elements
-        axes = []
-        for (a, b), fixed in zip(self.domain, self._axis_fixed()):
-            nodes = np.linspace(a, b, n + 1)
-            for f in fixed:
-                if np.min(np.abs(nodes - f)) > 1e-12 * (b - a):
-                    raise ConfigurationError(
-                        f"uniform mesh with {n} elements misses the fixed node at {f}"
-                    )
-            axes.append(Mesh1D.from_nodes(nodes))
-        return _mesh_of(axes)
+        (a, b), n = self.domain[0], self.n_elements
+        nodes = np.linspace(a, b, n + 1)
+        for f in self.axis_params.fixed_interior:
+            if np.min(np.abs(nodes - f)) > 1e-12 * (b - a):
+                raise ConfigurationError(
+                    f"uniform mesh with {n} elements misses the fixed node at {f}"
+                )
+        axis = Mesh1D.from_nodes(nodes)
+        return axis if self.dim == 1 else TensorMesh2D(axis, axis)
 
     def with_n(self, n_elements):
         return replace(self, n_elements=int(n_elements))
-
-
-def _mesh_of(axes):
-    """The mesh whose axes are the given 1D meshes: the one axis itself,
-    or their tensor product."""
-    return axes[0] if len(axes) == 1 else TensorMesh2D(*axes)
 
 
 def arctan1d(alpha=10.0, s=0.5, n_elements=32, mode="exact", order=2):

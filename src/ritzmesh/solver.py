@@ -4,34 +4,25 @@ Because the Ritz energy is stationary in the coefficients at the
 discrete solution, callers treat the returned coefficients as
 constants; nothing here is ever differentiated.
 
-The direct method factors a banded matrix with LAPACK's banded
-Cholesky (``dpbtrf``, then ``dpbtrs``) in lower band storage, which
-scipy's OpenBLAS factors in 0.63-0.68 times the time of upper storage
-(lshape N=128, kd = 128, one thread of a 2-core x86 host).  What a
-solve reads off the sparsity pattern is planned once per pattern: it
-fills the band with one scatter and checks symmetry in O(nnz).
-Tensor-product meshes give every 2D system a fixed band of width Nx+1
-in free-index order, so this is the path of every 2D system; it runs
-scipy's OpenBLAS on one thread, about twice as fast on these bands as
-two.  Tridiagonal (1D) systems and matrices whose band would be far
-larger than their nonzeros keep the general sparse LU (``splu``).  1D
-stays on ``splu`` on purpose: the parametric arctan runs amplify
-roundoff, and a banded 1D solve changes the coefficients in the last
-bit and, through training, the final errors recorded against this LU
-(whose COLAMD ordering permutes even a tridiagonal matrix, so no Thomas
-sweep reproduces it).  A batch of 1D systems on one pattern takes one
-``splu`` of their block diagonal, each block in the column order
-``splu`` picks for the pattern, bitwise one ``splu`` each.  Conjugate
-gradients run only on request or, in 'auto' mode, on systems above
-DIRECT_DOF_LIMIT that are not tridiagonal: a tridiagonal factor is
-cheap at any size.  Each solved system is checked once: its normwise
-backward error ||B c - ell|| / (||B||_F ||c|| + ||ell||), ||B||_F over
-the stored entries, is at most RESIDUAL_TOL (Rigal & Gaches 1967;
-Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).  Banded
-Cholesky and LU pivoting on the diagonal are backward stable on these
-SPD systems, so no refinement is needed; ||B c - ell|| <= RESIDUAL_TOL
-||ell||, which even the rounded exact solution misses on fine or graded
-meshes, is not asked.
+Every 2D system (a tensor mesh's, of band width Nx+1 in free order) is
+factored by LAPACK's banded Cholesky in lower band storage on one BLAS
+thread: 0.63-0.68 times the time of upper storage, and about half that
+of two threads (lshape N=128, a 2-core x86 host).  Its band scatter and
+O(nnz) symmetry check are planned once per pattern, kept with an
+assembled system's cached pattern or found by the pattern's bytes.
+Tridiagonal (1D) systems and matrices whose band would far exceed their
+nonzeros keep splu: parametric arctan runs amplify a last-bit change of
+c into the final errors recorded against it, and its COLAMD order
+permutes even a tridiagonal matrix.  A batch of 1D systems on one
+pattern takes one splu of their block diagonal, bitwise one splu each.
+CG runs on request, or in 'auto' mode above DIRECT_DOF_LIMIT DOFs unless
+tridiagonal.  Each solve's normwise backward error ||B c - ell|| /
+(||B||_F ||c|| + ||ell||), ||B||_F over the stored entries, must be at
+most RESIDUAL_TOL (Rigal & Gaches 1967; Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 7).  These factorizations are backward
+stable on SPD systems, so nothing is refined; ||B c - ell|| <=
+RESIDUAL_TOL ||ell||, which even the rounded exact solution misses on
+graded meshes, is not asked.
 """
 
 import ctypes
@@ -62,16 +53,22 @@ class SolveReport:
     residual_norm: float
     iterations: int
     method: str
+    Bc: np.ndarray | None = None    # B c as a direct solve's check formed it
 
 
 @lru_cache(maxsize=8)
 def _band_plan(indptr_bytes, indices_bytes, dtype):
-    """Of a canonical CSR pattern (indptr and indices bytes of dtype): kd;
-    the stored lower entries and their flat positions in the lower band
-    ab[i - j, j] = B[i, j], (kd+1, n) in Fortran order for LAPACK to factor
-    in place; the stored entry at (j, i) of each at (i, j), or -1.  Read-only."""
-    indptr = np.frombuffer(indptr_bytes, dtype=dtype)
-    n, cols = indptr.size - 1, np.frombuffer(indices_bytes, dtype=dtype).astype(np.int64)
+    """_plan of a pattern given as indptr and indices bytes of dtype."""
+    return _plan(np.frombuffer(indptr_bytes, dtype=dtype),
+                 np.frombuffer(indices_bytes, dtype=dtype))
+
+
+def _plan(indptr, indices):
+    """Of a canonical CSR pattern: kd; the stored lower entries and their
+    flat positions in the lower band ab[i - j, j] = B[i, j], (kd+1, n) in
+    Fortran order for LAPACK to factor in place; the stored entry at
+    (j, i) of each at (i, j), or -1.  Read-only."""
+    n, cols = indptr.size - 1, indices.astype(np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
     kd = int(np.max(cols - rows, initial=0))
     lower = np.flatnonzero(cols <= rows)
@@ -105,12 +102,17 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
     if not B.has_canonical_format:
         B = B.copy()
         B.sum_duplicates()
-    kd, lower, pos, perm = _band_plan(B.indptr.tobytes(), B.indices.tobytes(),
-                                      B.indices.dtype.str)
+    pattern = getattr(system, "pattern", None)
+    if pattern is not None and B.indptr is pattern.indptr and B.indices is pattern.indices:
+        pattern.plan = pattern.plan or _plan(B.indptr, B.indices)
+        kd, lower, pos, perm = pattern.plan
+    else:
+        kd, lower, pos, perm = _band_plan(B.indptr.tobytes(), B.indices.tobytes(),
+                                          B.indices.dtype.str)
     # the band reads only the lower triangle, so this check guards it
     mirror = np.where(perm < 0, 0.0, B.data[perm])
-    if np.max(np.abs(B.data - mirror), initial=0.0) > SYMMETRY_TOL * max(
-            1.0, np.max(np.abs(B.data), initial=0.0)):
+    if np.abs(B.data - mirror).max(initial=0.0) > SYMMETRY_TOL * max(
+            1.0, np.abs(B.data).max(initial=0.0)):
         raise SolverError("stiffness matrix is not symmetric")
 
     if method != "cg":
@@ -128,7 +130,7 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
         ab = np.zeros((kd + 1) * n)
         ab[pos] = B.data[lower]
         ab = ab.reshape((kd + 1, n), order="F")
-        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        pbtrf, pbtrs = _banded_cholesky()
         with _one_blas_thread():
             factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
             if info != 0:
@@ -155,6 +157,12 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
         )
     _check_residual(residual, np.linalg.norm(B.data), np.linalg.norm(c), ell_norm)
     return SolveReport(c=c, residual_norm=residual, iterations=count[0], method=method)
+
+
+@lru_cache(maxsize=1)
+def _banded_cholesky():
+    """LAPACK's dpbtrf and dpbtrs."""
+    return sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
 def solve_splu(A, ell) -> SolveReport:
@@ -289,8 +297,9 @@ def _checked(solve, B, ell, ell_norms, method):
         c_g, residual = c[b].copy(), float(np.linalg.norm(r[b].copy()))
         try:
             _check_residual(residual, np.linalg.norm(values), np.linalg.norm(c_g), ell_norm)
-            out.append((SolveReport(c=c_g, residual_norm=residual, iterations=0,
-                                    method=method), Bc[b].copy()))
+            report = SolveReport(c=c_g, residual_norm=residual, iterations=0,
+                                 method=method, Bc=Bc[b].copy())
+            out.append((report, report.Bc))
         except SolverError as exc:
             out.append((exc, None))
     return out
@@ -327,7 +336,7 @@ def _one_blas_thread():
 
 
 def _check_load(ell):
-    if not np.all(np.isfinite(ell)):
+    if not np.isfinite(ell).all():
         raise SolverError("load vector contains non-finite entries")
 
 

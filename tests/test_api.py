@@ -12,6 +12,7 @@ import importlib.util
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ritzmesh
@@ -72,46 +73,97 @@ LOAD_SPANS = ("hat_loads", "hat_load_derivs", "area_loads", "area_load_derivs",
               "line_hat_loads", "line_hat_load_derivs")
 
 
-@pytest.mark.parametrize("problem,called", [
-    (problems.arctan1d(10.0, 0.5, n_elements=8), {"hat_loads": 1, "hat_load_derivs": 1}),
-    (problems.arctan2d(10.0, 0.3, 0.6, n_elements=4, order=8),
-     {"area_load_derivs": 1, "line_hat_load_derivs": 4}),
-    (problems.lshape(1.7, 0.4, n_elements=4),
-     {"area_load_derivs": 1, "line_hat_load_derivs": 2}),
-], ids=["arctan1d", "arctan2d", "lshape"])
-def test_benchmark_load_spans_are_called(monkeypatch, problem, called):
-    # the benchmark times the loads by wrapping these module attributes;
-    # a call route that bypasses them would leave its spans at zero.  A
-    # 2D step reaches the loads once, through area_load_derivs, and the
-    # gradient reuses what assembly kept: every term's factor f and its
-    # derivative f' are evaluated exactly once per axis
-    counts = dict.fromkeys(LOAD_SPANS, 0)
-    factor_calls = {}
+def _count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for every name; returns the live call counts."""
+    counts = dict.fromkeys(names, 0)
 
-    def counting(name, fn, tally=counts):
+    def counting(name, fn):
         def wrapper(*args, **kwargs):
-            tally[name] = tally.get(name, 0) + 1
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in LOAD_SPANS:
-        monkeypatch.setattr(loads, name, counting(name, getattr(loads, name)))
-    forcing = loads.FAMILIES[problem.load.family]
-    if forcing.terms is not None:
-        def terms(*params):
-            return tuple(tuple((counting((k, axis, "f"), f, factor_calls),
-                                counting((k, axis, "fp"), fp, factor_calls), flux)
-                               for axis, (f, fp, flux) in enumerate(term))
-                         for k, term in enumerate(forcing.terms(*params)))
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return counts
 
-        monkeypatch.setitem(loads.FAMILIES, problem.load.family,
-                            dataclasses.replace(forcing, terms=terms))
+
+def _count_integrands(monkeypatch, family):
+    """Wrap the integrands of a forcing family in loads.FAMILIES: a 1D
+    family's f and f', a 2D family's factors.  Returns the call log of
+    (name, shape of the values returned)."""
+    forcing = loads.FAMILIES[family]
+    log = []
+
+    def logged(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            log.append((name, np.shape(out[0] if name == "factors" else out)))
+            return out
+        return wrapper
+
+    names = ("factors",) if forcing.factors is not None else ("f", "fp")
+    monkeypatch.setitem(loads.FAMILIES, family, dataclasses.replace(
+        forcing, **{name: logged(name, getattr(forcing, name)) for name in names}))
+    return log
+
+
+@pytest.mark.parametrize("problem,called", [
+    (problems.arctan1d(10.0, 0.5, n_elements=8), {"hat_loads": 1, "hat_load_derivs": 1}),
+    (problems.arctan1d(10.0, 0.5, n_elements=8, mode="quadrature", order=3),
+     {"hat_load_derivs": 1, "line_hat_load_derivs": 1}),
+    (problems.arctan2d(10.0, 0.3, 0.6, n_elements=4, order=8),
+     {"area_load_derivs": 1, "line_hat_load_derivs": 1}),
+    (problems.lshape(1.7, 0.4, n_elements=4),
+     {"area_load_derivs": 1, "line_hat_load_derivs": 1}),
+], ids=["arctan1d", "arctan1d-quadrature", "arctan2d", "lshape"])
+def test_benchmark_load_spans_are_called(monkeypatch, problem, called):
+    # the benchmark times the loads by wrapping these module attributes;
+    # a call route that bypasses them would leave its spans at zero.  A
+    # step reaches the loads once, and the gradient reuses what assembly
+    # kept: in quadrature mode the integrand and its derivative are
+    # evaluated exactly once, in 2D every factor on both axes in one call
+    counts = _count_calls(monkeypatch, loads, LOAD_SPANS)
+    log = _count_integrands(monkeypatch, problem.load.family)
     pipeline.evaluate_with_gradient(problem, None)
     assert counts == {name: called.get(name, 0) for name in LOAD_SPANS}
-    if forcing.terms is not None:
-        n_terms = len(forcing.terms(*(problem.load.params[k] for k in forcing.keys)))
-        assert factor_calls == {(k, axis, kind): 1 for k in range(n_terms)
-                                for axis in (0, 1) for kind in ("f", "fp")}
+    forcing = loads.FAMILIES[problem.load.family]
+    E, q = problem.n_elements, problem.load.order
+    if problem.dim == 2:
+        n_factors = 1 + max(max(term) for term in forcing.terms)
+        assert log == [("factors", (n_factors, 2, E, q))]
+    elif problem.load.mode == "quadrature":
+        assert sorted(log) == [("f", (E, q)), ("fp", (E, q))]
+
+
+def test_quadrature_batch_evaluates_its_integrand_once(monkeypatch):
+    # a 1D quadrature batch with gradients: one line_hat_load_derivs for
+    # the loads and, through hat_load_derivs, the contraction
+    family = [problems.arctan1d(a, s, n_elements=8, mode="quadrature", order=3)
+              for a, s in ((10.0, 0.5), (20.0, 0.3), (5.0, 0.7))]
+    counts = _count_calls(monkeypatch, loads, LOAD_SPANS)
+    log = _count_integrands(monkeypatch, "arctan1d")
+    logits = np.random.default_rng(4).normal(0, 0.3, (3, family[0].theta_size))
+    pipeline.evaluate_batch(family, logits, [1.0, 1.0, 1.0])
+    assert counts == {name: int(name in ("hat_load_derivs", "line_hat_load_derivs"))
+                      for name in LOAD_SPANS}
+    assert sorted(log) == [("f", (3, 8, 3)), ("fp", (3, 8, 3))]
+
+
+@pytest.mark.parametrize("problem", [problems.arctan2d(10.0, 0.3, 0.6, n_elements=6, order=4),
+                                     problems.lshape(1.7, 0.4, n_elements=6)],
+                         ids=["arctan2d", "lshape"])
+def test_2d_gradient_is_one_pullback(monkeypatch, problem):
+    # the axes are the rows of the mesh's record: one mesh_pullback
+    # serves both, and the problem's axis parameters are built once
+    from ritzmesh import energy, mesh
+    theta = np.random.default_rng(5).normal(0, 0.5, problem.theta_size)
+    problem.build_mesh(theta)
+    counts = _count_calls(monkeypatch, energy, ["mesh_pullback"])
+    params = _count_calls(monkeypatch, mesh.MeshParams1D, ["__post_init__"])
+    _, grad = pipeline.evaluate_with_gradient(problem, theta)
+    assert counts == {"mesh_pullback": 1} and params == {"__post_init__": 0}
+    assert grad.shape == (problem.theta_size,)
 
 
 def test_parametric_epoch_calls_layers_once_per_batch(monkeypatch):

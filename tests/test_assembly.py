@@ -36,12 +36,11 @@ def _one_element(axes_nodes, coeff):
     assembled by the cached operator from the element weights, in
     counterclockwise local order in 2D (grid order is ll, lr, ul, ur)."""
     n = 2 ** len(axes_nodes)
-    indptr, indices, op = _scatter_pattern((1,) * len(axes_nodes),
-                                           np.arange(n, dtype=np.int64).tobytes())
+    pattern = _scatter_pattern((1,) * len(axes_nodes), np.arange(n, dtype=np.int64).tobytes())
     weights = _stiffness_weights([np.array(a, dtype=float) for a in axes_nodes],
                                  MaterialField(default=coeff))
-    K = sp.csr_matrix((op @ np.concatenate([w.ravel() for w in weights]), indices, indptr),
-                      shape=(n, n)).toarray()
+    K = sp.csr_matrix((pattern.op @ np.concatenate([w.ravel() for w in weights]),
+                       pattern.indices, pattern.indptr), shape=(n, n)).toarray()
     ccw = [0, 1, 3, 2][:n]
     return K[np.ix_(ccw, ccw)]
 
@@ -332,7 +331,7 @@ class TestGradientContraction:
             ev = evaluate(problem, rng.normal(0, scale, problem.theta_size))
             for _ in range(2):
                 c_full = ev.labeling.full_vector(rng.normal(size=ev.c.size))
-                got = _contraction_2d(ev.mesh, problem.material, ev.system.load_parts, c_full)
+                got = _contraction_2d(ev.mesh, ev.system, c_full)
                 ref = _corner_stack_contraction_2d(ev.mesh, problem.material, problem.load,
                                                    c_full)
                 for g, r in zip(got, ref):
@@ -535,7 +534,11 @@ class TestScatterPattern:
     def test_cached_arrays_read_only(self):
         ev = evaluate_uniform(lshape(n_elements=8))
         free = np.asarray(ev.labeling.free, dtype=np.int64)
-        indptr, indices, op = _scatter_pattern((8, 8), free.tobytes())
+        pattern = _scatter_pattern((8, 8), free.tobytes())
+        indptr, indices, op = pattern.indptr, pattern.indices, pattern.op
+        # the system carries the cached pattern and its arrays themselves
+        assert ev.system.pattern is pattern
+        assert ev.system.B.indptr is indptr and ev.system.B.indices is indices
         for arr in (indptr, indices):
             assert arr.dtype == np.int32 and not arr.flags.writeable
         for arr in (op.data, op.indices, op.indptr):

@@ -82,7 +82,7 @@ class TestProblemSpec:
 
     def test_insufficient_elements_rejected(self):
         with pytest.raises(ConfigurationError):
-            twomaterial1d(10.0, n_elements=1).n_logits(0)
+            twomaterial1d(10.0, n_elements=1).theta_size
 
 
 class TestExactEnergyDispatch:

@@ -102,17 +102,23 @@ class TestFamilyTable:
                                    rtol=1e-14)
         power = LoadSpec("power", {"sigma": 0.7})
         np.testing.assert_allclose(power.bind("G")(x), 0.3 * x**0.7, rtol=1e-14)
-        (fx, _, gx), (fy, _, gy) = LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6},
-                                            mode="quadrature").bind("terms")()[0]
-        np.testing.assert_allclose(fx(x), arctan.bind("f")(x), rtol=1e-14)
-        assert fy(0.6) == np.arctan(3.0 * 0.6)
+        # a 2D family's factors take x's points, then y's: the first term
+        # is f1(x) u2(y), f1 with s1 = 0.4 and its flux, u2 with s2 = 0.6
+        from ritzmesh.loads import FAMILIES
+        load = LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6}, mode="quadrature")
+        ix, iy = FAMILIES["arctan2d"].terms[0]
+        values, slopes = load.bind("factors")(np.stack([x, np.full(3, 0.6)]))
+        np.testing.assert_allclose(values[ix, 0], arctan.bind("f")(x), rtol=1e-14)
+        np.testing.assert_allclose(slopes[ix, 0], arctan.bind("fp")(x), rtol=1e-14)
+        assert values[iy, 1, 0] == np.arctan(3.0 * 0.6)
+        gx, gy = np.asarray(load.bind("fluxes")())[[ix, iy], [0, 1]]
         assert gx == pytest.approx(3.0 / (1.0 + 9.0 * 0.36), rel=1e-14) and gy == 0.0
 
     @pytest.mark.parametrize("load,name", [
         (LoadSpec("power", {"sigma": 0.7}), "fp"),
         (LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6}, mode="quadrature"), "f"),
         (LoadSpec("arctan2d", {"alpha": 3.0, "s1": 0.4, "s2": 0.6}, mode="quadrature"), "G"),
-        (LoadSpec("arctan1d", {"alpha": 3.0, "s": 0.4}), "terms"),
+        (LoadSpec("arctan1d", {"alpha": 3.0, "s": 0.4}), "factors"),
     ])
     def test_unsupported_function_is_configuration_error(self, load, name):
         with pytest.raises(ConfigurationError):
@@ -417,7 +423,8 @@ class TestSeparableAreaLoads:
         nodes = np.sort(rng.uniform(0.0, 1.0, size=9))
         rule = gauss_legendre(50)
         fun, fun_prime = partial(ld._arctan_f, 12.0, 0.4), partial(ld._arctan_fp, 12.0, 0.4)
-        values, _ = line_hat_load_derivs(fun, fun_prime, nodes[:-1], nodes[1:], rule)
+        values, _ = line_hat_load_derivs(lambda x: (fun(x), fun_prime(x)),
+                                         nodes[:-1], nodes[1:], rule)
         for got, want in zip(values, line_hat_loads(fun, nodes[:-1], nodes[1:], rule)):
             np.testing.assert_array_equal(got, want)
 
@@ -497,7 +504,7 @@ class TestMomentProducts:
         fun, fun_prime = partial(fun, alpha, s), partial(fun_prime, alpha, s)
         rule = gauss_legendre(order)
         xl, xr = x[..., :-1], x[..., 1:]
-        values, derivs = line_hat_load_derivs(fun, fun_prime, xl, xr, rule)
+        values, derivs = line_hat_load_derivs(lambda x: (fun(x), fun_prime(x)), xl, xr, rule)
         want_values, want_derivs = _line_hat_load_derivs_oracle(fun, fun_prime, xl, xr, rule)
         for g, w in zip(values + line_hat_loads(fun, xl, xr, rule),
                         want_values + _line_hat_loads_oracle(fun, xl, xr, rule)):

@@ -313,23 +313,45 @@ class TestBandPlan:
         # (lshape nodes cross the fixed lines x, y = 0.5)
         problem = make(n)
         rng = np.random.default_rng(n)
-        lookup = sla.get_lapack_funcs
+        pbtrf, pbtrs = solver._banded_cholesky()
         seen = []
 
-        def recording(names, arrays):
-            pbtrf, pbtrs = lookup(names, arrays)
+        def pbtrf_copy(ab, **kwargs):
+            seen.append(ab.copy(order="K"))
+            return pbtrf(ab, **kwargs)
 
-            def pbtrf_copy(ab, **kwargs):
-                seen.append(ab.copy(order="K"))
-                return pbtrf(ab, **kwargs)
-            return pbtrf_copy, pbtrs
-
-        monkeypatch.setattr(solver.sla, "get_lapack_funcs", recording)
+        monkeypatch.setattr(solver, "_banded_cholesky", lambda: (pbtrf_copy, pbtrs))
         for scale in (0.3, 2.0):
             system = evaluate(problem, rng.normal(0, scale, problem.theta_size)).system
             assert solve_spd(system).method == "banded-cholesky"
             assert seen[-1].flags.f_contiguous
             np.testing.assert_array_equal(seen[-1], sla_band(system.B))
+
+    def test_assembled_system_carries_its_plan(self, monkeypatch):
+        # the first solve on a pattern stores the plan with it and later
+        # ones reuse it unhashed; a copy of B that no longer holds the
+        # pattern's arrays finds the same plan by its bytes
+        problem = lshape(1.7, 0.4, n_elements=10)
+        system = evaluate_uniform(problem).system
+        pattern = system.pattern
+        assert pattern.plan is not None
+        hashed = solver._band_plan(system.B.indptr.tobytes(), system.B.indices.tobytes(),
+                                   system.B.indices.dtype.str)
+        for got, want in zip(pattern.plan, hashed):
+            np.testing.assert_array_equal(got, want)
+
+        def forbidden(*args):
+            raise AssertionError("an assembled system hashed its pattern")
+
+        monkeypatch.setattr(solver, "_band_plan", forbidden)
+        moved = evaluate(problem, np.full(problem.theta_size, 0.1)).system
+        assert moved.pattern is pattern
+        report = solve_spd(moved)
+        monkeypatch.undo()
+        copy = SparseSystem(B=moved.B.copy(), ell=moved.ell, labeling=moved.labeling,
+                            pattern=pattern)
+        np.testing.assert_array_equal(solve_spd(copy).c, report.c)
+        np.testing.assert_array_equal(report.Bc, moved.B @ report.c)
 
     def test_plan_is_cached_and_read_only(self):
         B = evaluate_uniform(lshape(1.0, 1.0, n_elements=8)).system.B
