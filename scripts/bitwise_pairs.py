@@ -10,6 +10,8 @@ the program from its src/ with one BLAS thread:
   benchmark families and 1D arctan quadrature, at two sizes and logit
   scales 0.1, 0.5 and 3;
 - evaluate_batch with gradients for the three 1D families;
+- evaluate_uniform (J and c) on lshape N=128, the largest system the
+  benchmark solves (12,033 DOFs);
 - 5 train_nonparametric steps on arctan2d and on lshape;
 - a 2-epoch train_parametric on arctan1d (history and network weights).
 
@@ -56,6 +58,10 @@ def batch(family, n, seed):
     ev = pipeline.evaluate_batch(items, logits, np.linspace(0.5, 1.5, 6))
     return [ev.J, ev.grad] + [c for c in ev.c if c is not None]
 
+def uniform(problem):
+    ev = pipeline.evaluate_uniform(problem)
+    return ev.J, ev.c
+
 def adapt(problem):
     theta, history = training.train_nonparametric(problem, iterations=5)
     return [theta] + [row for row in history.rows]
@@ -81,6 +87,7 @@ for n in (8, 32):
              lambda: single(problem, scale, 100 * n + k))
 for family in ("arctan1d", "power1d", "twomaterial1d"):
     case(f"evaluate_batch {family} N=16", lambda: batch(family, 16, 7))
+case("evaluate_uniform lshape N=128", lambda: uniform(problems.lshape(n_elements=128)))
 case("train_nonparametric arctan2d N=8", lambda: adapt(problems.arctan2d(n_elements=8, order=8)))
 case("train_nonparametric lshape N=16", lambda: adapt(problems.lshape(1.3, 0.6, n_elements=16)))
 case("train_parametric arctan1d N=8", parametric)

@@ -4,19 +4,18 @@ Because the Ritz energy is stationary in the coefficients at the
 discrete solution, callers treat the returned coefficients as
 constants; nothing here is ever differentiated.
 
-Every 2D system (a tensor mesh's, of band width Nx+1 in free order) is
-factored by LAPACK's banded Cholesky in lower band storage on one BLAS
-thread: 0.63-0.68 times the time of upper storage, and about half that
-of two threads (lshape N=128, a 2-core x86 host).  Its band scatter and
-O(nnz) symmetry check are planned once per pattern, kept with an
-assembled system's cached pattern or found by the pattern's bytes.
-Tridiagonal (1D) systems and matrices whose band would far exceed their
-nonzeros keep splu: parametric arctan runs amplify a last-bit change of
-c into the final errors recorded against it, and its COLAMD order
-permutes even a tridiagonal matrix.  A batch of 1D systems on one
-pattern takes one splu of their block diagonal, bitwise one splu each.
-CG runs on request, or in 'auto' mode above DIRECT_DOF_LIMIT DOFs unless
-tridiagonal.  Each solve's normwise backward error ||B c - ell|| /
+Every system of band width kd > 1 (a 2D tensor mesh's, of band width
+Nx+1 in free order) is factored by LAPACK's banded Cholesky in lower
+band storage on one BLAS thread: 0.63-0.68 times the time of upper
+storage, and about half that of two threads (lshape N=128, a 2-core x86
+host).  Its band scatter and O(nnz) symmetry check are planned once per
+pattern and kept with an assembled system's cached pattern.  A band of
+more than MAX_BAND_BYTES raises SolverError before it is allocated.
+Tridiagonal (1D) systems keep splu: parametric arctan runs amplify a
+last-bit change of c into the final errors recorded against it, and its
+COLAMD order permutes even a tridiagonal matrix.  A batch of 1D systems
+on one pattern takes one splu of their block diagonal, bitwise one splu
+each.  Each solve's normwise backward error ||B c - ell|| /
 (||B||_F ||c|| + ||ell||), ||B||_F over the stored entries, must be at
 most RESIDUAL_TOL (Rigal & Gaches 1967; Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 7).  These factorizations are backward
@@ -41,10 +40,8 @@ from .errors import SolverError
 
 RESIDUAL_TOL = 1e-10
 SYMMETRY_TOL = 1e-13
-DIRECT_DOF_LIMIT = 20_000
-# banded storage (kd+1)*n may exceed nnz by at most this factor; tensor
-# meshes in the direct range stay below 19
-BAND_FILL_LIMIT = 32
+# the largest band, (kd+1)*n doubles, that a solve allocates
+MAX_BAND_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -54,13 +51,6 @@ class SolveReport:
     iterations: int
     method: str
     Bc: np.ndarray | None = None    # B c as a direct solve's check formed it
-
-
-@lru_cache(maxsize=8)
-def _band_plan(indptr_bytes, indices_bytes, dtype):
-    """_plan of a pattern given as indptr and indices bytes of dtype."""
-    return _plan(np.frombuffer(indptr_bytes, dtype=dtype),
-                 np.frombuffer(indices_bytes, dtype=dtype))
 
 
 def _plan(indptr, indices):
@@ -82,21 +72,17 @@ def _plan(indptr, indices):
     return kd, lower, pos, perm
 
 
-def solve_spd(system, method: str = "auto") -> SolveReport:
+def solve_spd(system) -> SolveReport:
     """Solve B c = ell for an SPD system to normwise backward error 1e-10.
 
-    method: 'direct-cholesky', 'cg', or 'auto' (direct, except CG above
-    20k DOFs when B is not tridiagonal).  The direct method is banded
-    Cholesky when kd > 1 and the band holds at most 32 * nnz entries,
-    else ``splu``.  CG is Jacobi-preconditioned, to a relative residual
-    of 1e-12 in at most 20 * n iterations, which the report counts (0
-    for a direct solve); it names the path: 'banded-cholesky', 'splu' or
-    'cg'.
+    Banded Cholesky when B's band width kd exceeds 1, else ``splu``; the
+    report names the path ('banded-cholesky' or 'splu') and counts no
+    iterations.  Raises SolverError if the band would exceed
+    MAX_BAND_BYTES, B is not symmetric or not positive definite, or the
+    solve misses the contract.
     """
     B, ell = system.B, system.ell
     n = ell.size
-    if method not in ("auto", "direct-cholesky", "cg"):
-        raise ValueError(f"unknown solve method {method!r}")
     _check_load(ell)
     B = B.tocsr()
     if not B.has_canonical_format:
@@ -107,56 +93,33 @@ def solve_spd(system, method: str = "auto") -> SolveReport:
         pattern.plan = pattern.plan or _plan(B.indptr, B.indices)
         kd, lower, pos, perm = pattern.plan
     else:
-        kd, lower, pos, perm = _band_plan(B.indptr.tobytes(), B.indices.tobytes(),
-                                          B.indices.dtype.str)
+        kd, lower, pos, perm = _plan(B.indptr, B.indices)
+    band_bytes = (kd + 1) * n * 8
+    if band_bytes > MAX_BAND_BYTES:
+        raise SolverError(f"band of {band_bytes} bytes exceeds MAX_BAND_BYTES = {MAX_BAND_BYTES}")
     # the band reads only the lower triangle, so this check guards it
     mirror = np.where(perm < 0, 0.0, B.data[perm])
     if np.abs(B.data - mirror).max(initial=0.0) > SYMMETRY_TOL * max(
             1.0, np.abs(B.data).max(initial=0.0)):
         raise SolverError("stiffness matrix is not symmetric")
 
-    if method != "cg":
-        if method == "auto" and n > DIRECT_DOF_LIMIT and kd > 1:
-            method = "cg"
-        else:
-            banded = kd > 1 and (kd + 1) * n <= BAND_FILL_LIMIT * B.nnz
-            method = "banded-cholesky" if banded else "splu"
-
+    method = "banded-cholesky" if kd > 1 else "splu"
     ell_norm = np.linalg.norm(ell)
     if ell_norm == 0.0:
         return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0, method=method)
-
-    if method == "banded-cholesky":
-        ab = np.zeros((kd + 1) * n)
-        ab[pos] = B.data[lower]
-        ab = ab.reshape((kd + 1, n), order="F")
-        pbtrf, pbtrs = _banded_cholesky()
-        with _one_blas_thread():
-            factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
-            if info != 0:
-                raise SolverError(f"banded Cholesky failed: minor {info} is not positive definite")
-            # a wrong solve from dpbtrs misses the backward-error check
-            return _single(lambda b: pbtrs(factor, b, lower=1)[0], B, ell, ell_norm, method)
     if method == "splu":
         return solve_splu(B.tocsc(), ell)
 
-    diag = B.diagonal()
-    if np.any(diag <= 0):
-        raise SolverError("nonpositive diagonal entry; system is not SPD")
-    M = sp.diags(1.0 / diag)
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    c, info = spla.cg(B, ell, rtol=1e-12, atol=0.0, maxiter=20 * n, M=M, callback=tick)
-    residual = float(np.linalg.norm(B @ c - ell))
-    if info != 0:
-        raise SolverError(
-            f"conjugate gradients did not converge (info={info})", residual=residual
-        )
-    _check_residual(residual, np.linalg.norm(B.data), np.linalg.norm(c), ell_norm)
-    return SolveReport(c=c, residual_norm=residual, iterations=count[0], method=method)
+    ab = np.zeros((kd + 1) * n)
+    ab[pos] = B.data[lower]
+    ab = ab.reshape((kd + 1, n), order="F")
+    pbtrf, pbtrs = _banded_cholesky()
+    with _one_blas_thread():
+        factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"banded Cholesky failed: minor {info} is not positive definite")
+        # a wrong solve from dpbtrs misses the backward-error check
+        return _single(lambda b: pbtrs(factor, b, lower=1)[0], B, ell, ell_norm, method)
 
 
 @lru_cache(maxsize=1)

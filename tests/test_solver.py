@@ -1,6 +1,7 @@
 """Linear solver contract."""
 
 import _ctypes
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ritzmesh import solver
 from ritzmesh.assembly import DofLabeling, SparseSystem, assemble_system, label_dirichlet
+from ritzmesh.cli import main as cli_main
 from ritzmesh.energy import ENERGY_SLACK, ritz_energy, ritz_energy_of
 from ritzmesh.errors import SolverError
 from ritzmesh.loads import reference_ritz
@@ -27,6 +29,20 @@ def _system(B, ell):
     n = ell.size
     lab = DofLabeling(free=np.arange(n), dirichlet=np.empty(0, dtype=int), n_nodes=n)
     return SparseSystem(B=sp.csr_matrix(B), ell=ell, labeling=lab)
+
+
+def _cg_oracle(system):
+    """Jacobi-preconditioned CG to a relative residual of 1e-12: an
+    independent check on the direct solve."""
+    B = system.B
+    c, info = spla.cg(B, system.ell, rtol=1e-12, atol=0.0, maxiter=20 * B.shape[0],
+                      M=sp.diags(1.0 / B.diagonal()))
+    assert info == 0
+    return c
+
+
+def _gap(c, ref):
+    return np.linalg.norm(c - ref) / np.linalg.norm(ref)
 
 
 class TestSolveSpd:
@@ -45,12 +61,9 @@ class TestSolveSpd:
         M = rng.normal(size=(50, 50))
         A = M.T @ M + np.eye(50)
         b = rng.normal(size=50)
-        expected = np.linalg.solve(A, b)
-        for method, ran in (("direct-cholesky", "banded-cholesky"), ("cg", "cg")):
-            rep = solve_spd(_system(A, b), method=method)
-            rel = np.linalg.norm(rep.c - expected) / np.linalg.norm(expected)
-            assert rel < 1e-10, method
-            assert rep.method == ran
+        rep = solve_spd(_system(A, b))
+        assert rep.method == "banded-cholesky"
+        assert _gap(rep.c, np.linalg.solve(A, b)) < 1e-10
 
     def test_residual_contract(self):
         rng = np.random.default_rng(10)
@@ -83,10 +96,6 @@ class TestSolveSpd:
         rep = solve_spd(_system(np.eye(3), np.zeros(3)))
         np.testing.assert_array_equal(rep.c, 0.0)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            solve_spd(_system(np.eye(2), np.ones(2)), method="magic")
-
 
 BENCH_1D = [
     lambda n: arctan1d(10.0, 0.5, n_elements=n),
@@ -114,17 +123,19 @@ class TestBenchmarkSystems:
     @pytest.mark.parametrize("make", BENCH_1D)
     def test_direct_and_cg_agree(self, make):
         system = evaluate_uniform(make(128)).system
-        direct = solve_spd(system, method="direct-cholesky")
-        cg = solve_spd(system, method="cg")
-        rel = np.linalg.norm(direct.c - cg.c) / np.linalg.norm(direct.c)
-        assert rel < 1e-8
+        assert _gap(solve_spd(system).c, _cg_oracle(system)) < 1e-8
 
     def test_direct_and_cg_agree_2d(self):
         system = evaluate_uniform(lshape(3.0, 0.3, n_elements=32)).system
-        direct = solve_spd(system, method="direct-cholesky")
-        cg = solve_spd(system, method="cg")
-        rel = np.linalg.norm(direct.c - cg.c) / np.linalg.norm(direct.c)
-        assert rel < 1e-8
+        assert _gap(solve_spd(system).c, _cg_oracle(system)) < 1e-8
+
+    def test_above_old_cg_limit_is_banded(self):
+        # 20,736 DOFs, past the 20,000 above which CG used to take over
+        ev = evaluate_uniform(arctan2d(10.0, 0.05, 0.05, n_elements=144, order=4))
+        assert ev.system.ell.size == 144**2
+        assert ev.report.method == "banded-cholesky"
+        assert ev.report.residual_norm <= RESIDUAL_TOL * np.linalg.norm(ev.system.ell)
+        assert _gap(ev.c, _cg_oracle(ev.system)) < 1e-8
 
     def test_energy_minimized_at_solution(self):
         from ritzmesh.energy import ritz_energy
@@ -160,8 +171,9 @@ class TestSolvePaths:
         assert np.linalg.norm(rep.c - ref) <= 1e-12 * np.linalg.norm(ref)
         assert rep.residual_norm <= RESIDUAL_TOL * np.linalg.norm(system.ell)
 
-    @pytest.mark.parametrize("offsets,ran", [((-1, 0, 1), "splu"), ((-2, 0, 2), "cg")])
-    def test_auto_cg_only_above_limit_and_not_tridiagonal(self, offsets, ran):
+    @pytest.mark.parametrize("offsets,ran", [((-1, 0, 1), "splu"),
+                                             ((-2, 0, 2), "banded-cholesky")])
+    def test_direct_above_old_cg_limit(self, offsets, ran):
         n = 20001
         B = sp.diags([-np.ones(n - offsets[2]), np.full(n, 4.0), -np.ones(n - offsets[2])],
                      offsets, format="csr")
@@ -186,7 +198,7 @@ class TestSolvePaths:
         with pytest.raises(SolverError, match="banded Cholesky"):
             solve_spd(_system(B, np.ones(n)))
 
-    def test_wide_band_takes_splu(self):
+    def test_wide_band_is_banded(self):
         # arrow pattern: dense first row and column, bandwidth n - 1
         n = 200
         A = sp.lil_matrix((n, n))
@@ -195,8 +207,23 @@ class TestSolvePaths:
         A[1:, 0] = 1.0
         b = np.linspace(1.0, 2.0, n)
         rep = solve_spd(_system(A.tocsr(), b))
-        assert rep.method == "splu"
+        assert rep.method == "banded-cholesky"
         np.testing.assert_allclose(rep.c, np.linalg.solve(A.toarray(), b), rtol=1e-12)
+
+    def test_band_over_limit_raises(self, monkeypatch):
+        # lowered so that a broken guard cannot allocate a large band
+        monkeypatch.setattr(solver, "MAX_BAND_BYTES", 1000)
+        B = sp.diags([-np.ones(48), np.full(50, 4.0), -np.ones(48)], [-2, 0, 2], format="csr")
+        with pytest.raises(SolverError, match=r"^band of 1200 bytes exceeds .* 1000$"):
+            solve_spd(_system(B, np.ones(50)))
+
+    def test_band_over_limit_is_a_numerical_failure(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(solver, "MAX_BAND_BYTES", 1000)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": "lshape", "N": 8}))
+        assert cli_main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: band of ") and "Traceback" not in err
 
     @pytest.mark.parametrize("make", BENCH_1D)
     def test_1d_is_bitwise_splu(self, make):
@@ -329,35 +356,31 @@ class TestBandPlan:
 
     def test_assembled_system_carries_its_plan(self, monkeypatch):
         # the first solve on a pattern stores the plan with it and later
-        # ones reuse it unhashed; a copy of B that no longer holds the
-        # pattern's arrays finds the same plan by its bytes
+        # ones plan nothing; a copy of B that no longer holds the
+        # pattern's arrays plans its own, the same
         problem = lshape(1.7, 0.4, n_elements=10)
         system = evaluate_uniform(problem).system
         pattern = system.pattern
         assert pattern.plan is not None
-        hashed = solver._band_plan(system.B.indptr.tobytes(), system.B.indices.tobytes(),
-                                   system.B.indices.dtype.str)
-        for got, want in zip(pattern.plan, hashed):
-            np.testing.assert_array_equal(got, want)
-
-        def forbidden(*args):
-            raise AssertionError("an assembled system hashed its pattern")
-
-        monkeypatch.setattr(solver, "_band_plan", forbidden)
+        calls = []
+        real = solver._plan
+        monkeypatch.setattr(solver, "_plan", lambda *a: calls.append(a) or real(*a))
         moved = evaluate(problem, np.full(problem.theta_size, 0.1)).system
         assert moved.pattern is pattern
         report = solve_spd(moved)
-        monkeypatch.undo()
+        assert calls == []
         copy = SparseSystem(B=moved.B.copy(), ell=moved.ell, labeling=moved.labeling,
                             pattern=pattern)
         np.testing.assert_array_equal(solve_spd(copy).c, report.c)
+        assert len(calls) == 1
         np.testing.assert_array_equal(report.Bc, moved.B @ report.c)
 
     def test_plan_is_cached_and_read_only(self):
-        B = evaluate_uniform(lshape(1.0, 1.0, n_elements=8)).system.B
-        key = (B.indptr.tobytes(), B.indices.tobytes(), B.indices.dtype.str)
-        plan = solver._band_plan(*key)
-        assert solver._band_plan(*key) is plan
+        system = evaluate_uniform(lshape(1.0, 1.0, n_elements=8)).system
+        plan = system.pattern.plan
+        solve_spd(system)
+        assert system.pattern.plan is plan
+        B = system.B
         kd, lower, pos, perm = plan
         assert kd + 1 == sla_band(B).shape[0]
         np.testing.assert_array_equal(perm[perm], np.arange(B.nnz))
@@ -366,8 +389,7 @@ class TestBandPlan:
                 a[0] = 0
         # an entry whose mirror is not stored maps to -1
         A = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-        *_, perm = solver._band_plan(A.indptr.tobytes(), A.indices.tobytes(),
-                                     A.indices.dtype.str)
+        *_, perm = solver._plan(A.indptr, A.indices)
         np.testing.assert_array_equal(perm, [0, -1, 2])
 
 
