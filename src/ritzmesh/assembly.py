@@ -131,8 +131,8 @@ class Pattern:
 @dataclass(frozen=True)
 class SparseSystem:
     """Restricted SPD system: CSR stiffness over free DOFs plus load, and
-    the parts (loads.hat_load_parts or area_load_derivs), weights and
-    Pattern it was assembled from."""
+    the load parts (loads.hat_load_parts's (values, derivs) or
+    area_load_derivs's terms), weights and Pattern it was assembled from."""
 
     B: sp.csr_matrix
     ell: np.ndarray
@@ -252,8 +252,7 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     axes_nodes = [m.nodes for m in mesh.axes]
     _check_material_resolved(axes_nodes, material)
     if isinstance(mesh, Mesh1D):
-        x = mesh.nodes
-        parts = ld.hat_load_parts(load, x[:-1], x[1:])
+        parts = ld.hat_load_parts(load, mesh.nodes[:-1], mesh.nodes[1:])
         rhs = ld.node_loads(*parts[0], load.bind("flux")())
     else:
         parts = ld.area_load_derivs(load, *axes_nodes)
@@ -308,8 +307,7 @@ def _stiffness_weights(axes_nodes, material: MaterialField):
     return coeff * (hy / hx), coeff * (hx / hy)
 
 
-def assembly_gradient_contraction(mesh, system: SparseSystem, material: MaterialField,
-                                  load: ld.LoadSpec, c_free):
+def assembly_gradient_contraction(mesh, system: SparseSystem, material: MaterialField, c_free):
     """d/d(node coordinates) of E = 1/2 c^T B c - l . c at fixed c.
 
     Because dE/dc = 0 at the solved coefficients, this contraction is
@@ -317,12 +315,13 @@ def assembly_gradient_contraction(mesh, system: SparseSystem, material: Material
     node coordinates; no derivative of the solve is needed.  Entries
     for pinned coordinates (interval endpoints, fixed nodes) are
     computed too and zeroed later by the mesh pullback.  The Neumann
-    point loads sit at the fixed end b and do not move.  Returns one
-    gradient per axis, x first.
+    point loads sit at the fixed end b and do not move.  The load
+    derivatives are those the system kept.  Returns one gradient per
+    axis, x first.
     """
     c_full = system.labeling.full_vector(c_free)
     if isinstance(mesh, Mesh1D):
-        return (contraction_1d(mesh.nodes, material, load, c_full, system.load_parts),)
+        return (contraction_1d(mesh.nodes, material, c_full, system.load_parts[1]),)
     return _contraction_2d(mesh, system, c_full)
 
 
@@ -336,10 +335,10 @@ def _load_contraction(grad, w, derivs):
     grad[..., 1:] -= wl * dIl_dxr + wr * dIr_dxr
 
 
-def contraction_1d(x, material, load, c_full, parts=(None, None)):
+def contraction_1d(x, material, c_full, derivs):
     """The 1D contraction on nodes x with node coefficients c_full, or on
-    each row of (K, M) arrays with a stacked load (loads.stack_loads);
-    parts are loads.hat_load_parts of x when the caller has them."""
+    each row of (K, M) arrays; derivs are the hat-load derivatives of
+    loads.hat_load_parts on x."""
     h = x[..., 1:] - x[..., :-1]
     coeff = material.value_at(0.5 * (x[..., :-1] + x[..., 1:]))
     dc = c_full[..., 1:] - c_full[..., :-1]
@@ -349,7 +348,6 @@ def contraction_1d(x, material, load, c_full, parts=(None, None)):
     grad[..., :-1] -= s
     grad[..., 1:] += s
     # load part; c_full is zero at Dirichlet nodes
-    derivs = ld.hat_load_derivs(load, x[..., :-1], x[..., 1:], *parts)
     _load_contraction(grad, c_full, derivs)
     return grad
 

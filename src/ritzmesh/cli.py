@@ -30,13 +30,16 @@ def load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"malformed config {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def build_problem(cfg):
@@ -55,7 +58,14 @@ def build_problem(cfg):
 
 
 def build_grid(cfg, family, seed):
-    counts = cfg.get("grid", {}).get("counts")
+    grid = cfg.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigurationError(f"bad grid: {grid!r} is not an object")
+    counts = grid.get("counts")
+    if counts is not None:
+        if not isinstance(counts, list):
+            raise ConfigurationError(f"bad grid counts: {counts!r} is not a list")
+        counts = [_value("grid count", k, lo=2) for k in counts]
     try:
         axes = sampling.default_axes(family, counts=counts)
         return sampling.split_train_test(axes, seed=seed)
@@ -198,8 +208,8 @@ def cmd_report(cfg, out, seed):
     problem = build_problem(cfg)
     grid = build_grid(cfg, problem.family, seed)
     checkpoint = cfg.get("checkpoint")
-    if checkpoint is None:
-        raise ConfigurationError("report needs a 'checkpoint' path in the config")
+    if not isinstance(checkpoint, str):
+        raise ConfigurationError(f"report needs a 'checkpoint' path, got {checkpoint!r}")
     params, _, epoch = training.load_checkpoint(checkpoint)
     run = training.ParametricRun(
         params=params, history=training.History(columns=()), grid=grid,
@@ -237,7 +247,10 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         cfg = apply_preset(cfg, args.preset)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot make output directory {args.out}: {exc}") from exc
         if not os.access(args.out, os.W_OK):
             raise ConfigurationError(f"output directory {args.out} is not writable")
         COMMANDS[args.command](cfg, args.out, args.seed)

@@ -18,7 +18,6 @@ from .mesh import mesh_pullback
 #: negative radicand larger than this (in energy units) signals inexact
 #: integration rather than roundoff
 ENERGY_SLACK = 1e-9
-RADICAND_CLAMP = 1e-12
 
 
 def ritz_energy(system, c, Bc=None):
@@ -89,6 +88,6 @@ def ritz_gradient(problem, mesh, system, c_free, scale=1.0):
     over the logits (theta in the direct mode, the network output in
     parametric mode); one block per axis, x first, from one pullback.
     """
-    grads = assembly_gradient_contraction(mesh, system, problem.material, problem.load, c_free)
+    grads = assembly_gradient_contraction(mesh, system, problem.material, c_free)
     g = mesh_pullback(np.reshape(grads, mesh.record.order.shape), mesh.record, problem.axis_params)
     return scale * g.ravel()

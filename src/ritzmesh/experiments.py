@@ -72,10 +72,11 @@ def run_convergence(problem: ProblemSpec, n_list, iterations, schedule=((0, 1e-2
     return rows, rate_uniform, rate_adaptive
 
 
-def landscape_mesh(n_elements, movable_index, offset, interval=(0.0, 1.0)):
-    """Uniform nodes except one, displaced by the given offset."""
-    a, b = interval
-    nodes = np.linspace(a, b, n_elements + 1)
+def landscape_mesh(n_elements, movable_index, offset):
+    """Uniform nodes on (0, 1) except interior node movable_index, moved by offset."""
+    if not 1 <= movable_index <= n_elements - 1:
+        raise ValueError(f"movable_index must lie in [1, {n_elements - 1}], got {movable_index}")
+    nodes = np.linspace(0.0, 1.0, n_elements + 1)
     nodes[movable_index] += offset
     return Mesh1D.from_nodes(nodes)
 

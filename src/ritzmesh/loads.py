@@ -12,11 +12,13 @@ of an affine shape function over an element is exact to roundoff:
 Hat loads and their element-endpoint derivatives, which feed the
 assembly gradient, follow from the Leibniz rule; an affinely mapped
 Gauss-Legendre rule has closed endpoint derivatives too, formed with the
-loads from one integrand evaluation.  node_loads puts one axis's loads
-on its nodes, the Neumann flux as a point load at its right end b.  A 2D
-forcing is a sum of products of 1D factors, each with its flux at b, so
-its tensor rule over bilinear hats factors too: the load vector is a sum
-of outer products of the axes' node vectors, all from one evaluation.
+loads from one integrand evaluation.  A 1D step gets both as one
+(values, derivs) record from hat_load_parts, in either mode.
+node_loads puts one axis's loads on its nodes, the Neumann flux as a
+point load at its right end b.  A 2D forcing is a sum of products of 1D
+factors, each with its flux at b, so its tensor rule over bilinear hats
+factors too: the load vector is a sum of outer products of the axes'
+node vectors, all from one evaluation on the axes as rows of one size.
 
 Families (a record field is None where the family does not support it):
     constant       f = c                                 (exact; 2D: the (c, 1) term)
@@ -269,7 +271,7 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # exact elementwise integrals
 
-def hat_loads_exact(load: LoadSpec, xl, xr):
+def hat_loads(load: LoadSpec, xl, xr):
     """Loads of the falling and rising hats on elements [xl, xr]: the
     falling hat (xr - x)/h's may be +/-inf at a forcing singularity, where
     the node must be constrained; the rising hat (x - xl)/h's are finite.
@@ -294,9 +296,9 @@ def hat_loads_exact(load: LoadSpec, xl, xr):
     return I_l, I_r
 
 
-def hat_load_derivs_exact(load: LoadSpec, xl, xr, values=None):
-    """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr), from the
-    (I_l, I_r) of hat_loads_exact if the caller passes them as values.
+def hat_load_derivs(load: LoadSpec, xl, xr, values):
+    """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) from the
+    values (I_l, I_r) of hat_loads.
     Power-family entries tied to a left endpoint at the singularity are
     0: a constrained (zero) coefficient or the pinned interval end takes
     them, so their divergent values never enter a gradient.
@@ -304,7 +306,7 @@ def hat_load_derivs_exact(load: LoadSpec, xl, xr, values=None):
     xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
     h = xr - xl
     F, f = load.bind("F"), load.bind("f")
-    I_l, I_r = hat_loads_exact(load, xl, xr) if values is None else values
+    I_l, I_r = values
     with np.errstate(divide="ignore", invalid="ignore"):
         dF = F(xr) - F(xl)
         derivs = (-f(xl) + I_l / h, dF / h - I_l / h, -dF / h + I_r / h, f(xr) - I_r / h)
@@ -332,7 +334,8 @@ def _hat_moments(order):
 
 def line_hat_loads(fun, xl, xr, rule: QuadratureRule):
     """Quadrature loads of the falling/rising hats for a callable integrand:
-    h V, h the half-lengths and V = fun(points) @ _hat_moments[0]."""
+    h V, h the half-lengths and V = fun(points) @ _hat_moments[0].  No step
+    calls it; it stays public as a span target of bench/spans.py."""
     pts, _ = rule.mapped(xl, xr)
     V = fun(pts) @ _hat_moments(rule.order)[0]
     h = 0.5 * (np.asarray(xr, dtype=float) - np.asarray(xl, dtype=float))
@@ -358,29 +361,15 @@ def line_hat_load_derivs(fun, xl, xr, rule: QuadratureRule):
     return (h * V[..., 0], h * V[..., 1]), np.moveaxis(derivs, -1, 0)
 
 
-def hat_loads(load: LoadSpec, xl, xr):
-    """Dispatch 1D hat loads by the load's integration mode."""
-    if load.mode == "exact":
-        return hat_loads_exact(load, xl, xr)
-    return line_hat_loads(load.bind("f"), xl, xr, load.rule())
-
-
 def hat_load_parts(load: LoadSpec, xl, xr):
-    """(hat_loads's values, derivs): in quadrature mode their derivatives
-    from one integrand evaluation; None in exact mode, whose
-    hat_load_derivs forms them from the values."""
+    """The one 1D load record of elements [xl, xr]: (values, derivs), the
+    hat loads (I_l, I_r) and their endpoint derivatives (dIl_dxl, dIl_dxr,
+    dIr_dxl, dIr_dxr); by quadrature from one integrand evaluation."""
     if load.mode == "exact":
-        return hat_loads(load, xl, xr), None
+        values = hat_loads(load, xl, xr)
+        return values, hat_load_derivs(load, xl, xr, values)
     f, fp = load.bind("f"), load.bind("fp")
     return line_hat_load_derivs(lambda x: (f(x), fp(x)), xl, xr, load.rule())
-
-
-def hat_load_derivs(load: LoadSpec, xl, xr, values=None, derivs=None):
-    """Dispatch 1D hat-load derivatives, from hat_load_parts's (values,
-    derivs) when given."""
-    if load.mode == "exact":
-        return hat_load_derivs_exact(load, xl, xr, values)
-    return hat_load_parts(load, xl, xr)[1] if derivs is None else derivs
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +391,23 @@ def area_loads(load: LoadSpec, xs, ys):
     """Bilinear hat loads over the tensor mesh on axis nodes xs, ys, x
     fastest, Neumann edge fluxes at x = xs[-1] and y = ys[-1] included: a
     separable forcing sum_k fx_k(x) fy_k(y) under the tensor rule factors,
-    so term k's loads are the outer product of its axes' node vectors."""
+    so term k's loads are the outer product of its axes' node vectors.
+    No step calls it; it stays public as a span target of bench/spans.py."""
     return sum(np.outer(ly, lx).ravel() for (lx, _), (ly, _) in area_load_derivs(load, xs, ys))
 
 
 def area_load_derivs(load: LoadSpec, xs, ys):
     """One ((lx, dx), (ly, dy)) per term: each axis factor's node vector l
     and its hat loads' stacked endpoint derivatives d, from one
-    line_hat_load_derivs on the axes as rows (the shorter led by empty
-    elements)."""
-    forcing = FAMILIES[load.family]
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    m = max(xs.size, ys.size)
-    nodes = np.empty((2, m))
-    for row, axis in zip(nodes, (xs, ys)):
-        row[:m - axis.size], row[m - axis.size:] = axis[0], axis
+    line_hat_load_derivs on the axes as rows, which must be of one size."""
+    if np.size(xs) != np.size(ys):
+        raise ConfigurationError(f"2D axes need one size, got {np.size(xs)} and {np.size(ys)}")
+    nodes = np.stack([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
     values, derivs = line_hat_load_derivs(load.bind("factors"), nodes[:, :-1], nodes[:, 1:],
                                           load.rule())
     loads = node_loads(*values, np.asarray(load.bind("fluxes")())[..., None])
-    x0, y0 = m - xs.size, m - ys.size    # where each axis's own nodes start
-    return [((loads[i, 0, x0:], derivs[:, i, 0, x0:]), (loads[j, 1, y0:], derivs[:, j, 1, y0:]))
-            for i, j in forcing.terms]
+    return [((loads[i, 0], derivs[:, i, 0]), (loads[j, 1], derivs[:, j, 1]))
+            for i, j in FAMILIES[load.family].terms]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ back to gradients with respect to the logits.
 A mesh is read through its ``axes``, x first: a Mesh1D is the one-axis
 case, a TensorMesh2D the tensor product of two such axes, built as the
 rows of one softmax_nodes batch whose record one mesh_pullback reads.
+The axis record MeshParams1D holds no logits: only their count, the
+fixed interior nodes and the interval.
 """
 
 from dataclasses import dataclass, field
@@ -29,38 +31,28 @@ EPS_MIN_FACTOR = 1e-14
 
 @dataclass(frozen=True)
 class MeshParams1D:
-    """Logits plus fixed interior nodes for one axis.
+    """One axis, without its logits (softmax_partition checks those).
 
-    theta:          unconstrained logits, length n >= 1
+    n:              number of logits, n >= 1 (ProblemSpec.axis_params checks)
     fixed_interior: sorted node coordinates strictly inside (a, b)
     interval:       (a, b) with a < b
     """
 
-    theta: np.ndarray
+    n: int
     fixed_interior: np.ndarray = field(default_factory=lambda: np.empty(0))
     interval: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
         fixed = np.asarray(self.fixed_interior, dtype=float)
-        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "fixed_interior", fixed)
         a, b = self.interval
         if not a < b:
             raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
-        if theta.ndim != 1 or theta.size < 1:
-            raise ValueError("theta must be a vector of length >= 1")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta contains non-finite entries")
         if fixed.size:
             if np.any(fixed <= a) or np.any(fixed >= b):
                 raise ValueError("fixed interior nodes must lie strictly inside (a, b)")
             if np.any(np.diff(fixed) <= 0):
                 raise ValueError("fixed interior nodes must be strictly increasing")
-
-    @property
-    def n(self):
-        return self.theta.size
 
 
 @dataclass(frozen=True)
@@ -135,16 +127,6 @@ def softmax_partition(theta):
     shifted = theta - theta.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def build_mesh_1d(params: MeshParams1D) -> Mesh1D:
-    """Realize logits (plus fixed interior nodes) as a sorted mesh; raises
-    DegenerateMeshError for an element shorter than EPS_MIN_FACTOR * (b - a),
-    sort ties (where the gradient is undefined) included."""
-    a, b = params.interval
-    nodes, record = softmax_nodes(params.theta, params)
-    check_lengths(nodes, b - a)
-    return Mesh1D(nodes=nodes, record=record)
 
 
 def mesh_of_rows(nodes, record):

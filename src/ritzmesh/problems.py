@@ -55,34 +55,25 @@ class ProblemSpec:
 
     @cached_property
     def axis_params(self):
-        """The MeshParams1D at zero logits that every axis shares, validated
-        once: interval, fixed nodes and a chain giving n_elements."""
+        """The MeshParams1D that every axis shares, validated once:
+        interval, fixed nodes and a chain giving n_elements."""
         fixed = np.asarray(self.fixed_nodes if self.dim == 1 else self.fixed_nodes[0], dtype=float)
         if self.n_elements - fixed.size < 1:
             raise ConfigurationError("n_elements leaves no adaptive freedom")
-        return MeshParams1D(theta=np.zeros(self.n_elements - fixed.size), fixed_interior=fixed,
+        return MeshParams1D(self.n_elements - fixed.size, fixed_interior=fixed,
                             interval=self.domain[0])
 
     @property
     def theta_size(self):
         return self.dim * self.axis_params.n
 
-    def _logit_rows(self, theta):
-        """A flat logit vector (zeros if None) holding the axes' blocks, x
-        first, as one row per axis."""
+    def build_mesh(self, theta=None):
+        """The mesh of a flat logit vector (zeros if None), its axes' blocks,
+        x first, the rows of one softmax_nodes and one check_lengths."""
         t = np.zeros(self.theta_size) if theta is None else np.asarray(theta, dtype=float)
         if t.size != self.theta_size:
             raise ValueError(f"theta has size {t.size}, expected {self.theta_size}")
-        return t.reshape(self.dim, -1)
-
-    def mesh_params(self, theta=None):
-        """One MeshParams1D per axis, x first, from a flat logit vector."""
-        return tuple(replace(self.axis_params, theta=row) for row in self._logit_rows(theta))
-
-    def build_mesh(self, theta=None):
-        """The mesh of a flat logit vector, its axes' blocks the rows of one
-        softmax_nodes and one check_lengths."""
-        nodes, record = softmax_nodes(self._logit_rows(theta), self.axis_params)
+        nodes, record = softmax_nodes(t.reshape(self.dim, -1), self.axis_params)
         check_lengths(nodes, self.axis_params.interval[1] - self.axis_params.interval[0])
         return mesh_of_rows(nodes, record)
 
@@ -190,14 +181,6 @@ FACTORIES = {
     "lshape": lshape,
     "constant1d": constant1d,
 }
-
-BENCHMARKS = ("arctan1d", "power1d", "twomaterial1d", "arctan2d", "lshape")
-
-
-def registry():
-    """The five benchmark templates with their standard defaults."""
-    return [FACTORIES[name]() for name in BENCHMARKS]
-
 
 def make_problem(family, sigma=None, n_elements=None, **kwargs):
     """Instantiate a family at a parameter tuple."""

@@ -139,6 +139,8 @@ DEFAULT_AXES = {
 
 def default_axes(family, counts=None):
     """The family's standard sampling axes, optionally resized."""
+    if family not in DEFAULT_AXES:
+        raise ValueError(f"{family} has no parameter axes")
     axes = DEFAULT_AXES[family]
     if counts is None:
         return axes

@@ -228,7 +228,16 @@ def save_checkpoint(path, params: MlpParams, state: AdamState, epoch):
 
 
 def load_checkpoint(path):
-    with np.load(path) as data:
+    """(params, state, epoch) of a save_checkpoint file, else ConfigurationError."""
+    try:
+        data = np.load(path)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ConfigurationError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigurationError(f"{path} is not a checkpoint archive")
+    with data:
+        if "version" not in data:
+            raise ConfigurationError(f"{path} is not a checkpoint archive")
         if int(data["version"]) != CHECKPOINT_VERSION:
             raise ConfigurationError(f"unsupported checkpoint version {data['version']}")
         names = ("W1", "b1", "W2", "b2", "W3")

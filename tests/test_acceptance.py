@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from helpers import axis_mesh
 from ritzmesh.energy import relative_error
 from ritzmesh.experiments import (
     fit_rate,
@@ -23,7 +24,7 @@ from ritzmesh.loads import (
     energy_norm_sq_sine_material,
     reference_ritz,
 )
-from ritzmesh.mesh import MeshParams1D, build_mesh_1d, mesh_pullback, softmax_partition
+from ritzmesh.mesh import MeshParams1D, mesh_pullback, softmax_partition
 from ritzmesh.pipeline import (
     evaluate_uniform,
     evaluate_with_gradient,
@@ -290,16 +291,16 @@ class TestCriterion10MeshInvariantSuite:
             a, b = sorted(rng.normal(0, 2, 2))
             if b - a < 0.1:
                 b = a + 0.1
-            params = MeshParams1D(theta=theta, interval=(a, b))
+            params = MeshParams1D(n, interval=(a, b))
             delta = softmax_partition(theta)
             if abs(delta.sum() - 1.0) > 1e-14 * n:
                 failures.append((case, "partition"))
-            mesh = build_mesh_1d(params)
+            mesh = axis_mesh(theta, params)
             if not np.all(np.diff(mesh.nodes) > 0):
                 failures.append((case, "monotonicity"))
             if mesh.nodes[0] != a or mesh.nodes[-1] != b:
                 failures.append((case, "endpoints"))
-            shifted = build_mesh_1d(MeshParams1D(theta=theta + rng.normal(), interval=(a, b)))
+            shifted = axis_mesh(theta + rng.normal(), params)
             if not np.allclose(shifted.nodes, mesh.nodes, rtol=1e-12, atol=1e-12 * (b - a)):
                 failures.append((case, "shift invariance"))
             if case % 25 == 0:
@@ -311,7 +312,7 @@ class TestCriterion10MeshInvariantSuite:
                     for sign in (+1, -1):
                         bumped = theta.copy()
                         bumped[j] += sign * 1e-6
-                        m = build_mesh_1d(MeshParams1D(theta=bumped, interval=(a, b)))
+                        m = axis_mesh(bumped, params)
                         fd[j] += sign * np.sin(w @ m.nodes)
                     fd[j] /= 2e-6
                 denom = max(np.linalg.norm(fd), 1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import hat_values
 from ritzmesh.assembly import (
     _AX,
     _AY,
@@ -18,7 +19,7 @@ from ritzmesh.assembly import (
 from ritzmesh import loads as ld
 from ritzmesh.energy import ritz_energy
 from ritzmesh.errors import ConfigurationError
-from ritzmesh.mesh import Mesh1D, MeshParams1D, TensorMesh2D, build_mesh_1d
+from ritzmesh.mesh import Mesh1D, TensorMesh2D
 from ritzmesh.pipeline import evaluate, evaluate_uniform
 from ritzmesh.problems import (
     arctan1d,
@@ -265,7 +266,7 @@ class TestGradientContraction:
         theta = rng.normal(0, 0.3, problem.theta_size)
         ev = evaluate(problem, theta)
         (grad,) = assembly_gradient_contraction(
-            ev.mesh, ev.system, problem.material, problem.load, ev.c)
+            ev.mesh, ev.system, problem.material, ev.c)
         # perturbing a fixed interface node changes the problem, not the mesh
         movable = [i for i in range(1, ev.mesh.nodes.size - 1)
                    if ev.mesh.record.adaptive[i]]
@@ -281,7 +282,7 @@ class TestGradientContraction:
             theta = rng.normal(0, 0.2, problem.theta_size)
             ev = evaluate(problem, theta)
             gx, gy = assembly_gradient_contraction(
-                ev.mesh, ev.system, problem.material, problem.load, ev.c)
+                ev.mesh, ev.system, problem.material, ev.c)
             movable_x = [i for i in range(1, ev.mesh.mesh_x.nodes.size - 1)
                          if ev.mesh.mesh_x.record.adaptive[i]]
             movable_y = [i for i in range(1, ev.mesh.mesh_y.nodes.size - 1)
@@ -298,7 +299,7 @@ class TestGradientContraction:
         ev = evaluate_uniform(p)
         np.testing.assert_array_equal(ev.c, 0.0)
         (grad,) = assembly_gradient_contraction(
-            ev.mesh, ev.system, p.material, p.load, ev.c)
+            ev.mesh, ev.system, p.material, ev.c)
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_symmetric_problem_antisymmetric_gradient(self):
@@ -308,7 +309,7 @@ class TestGradientContraction:
         p = arctan1d(10.0, 0.5, n_elements=8)
         ev = evaluate_uniform(p)
         (grad,) = assembly_gradient_contraction(
-            ev.mesh, ev.system, p.material, p.load, ev.c)
+            ev.mesh, ev.system, p.material, ev.c)
         interior = grad[1:-1]
         np.testing.assert_allclose(interior, -interior[::-1], atol=1e-10)
 
@@ -369,7 +370,7 @@ def _reference_loads_1d(problem, mesh, labeling):
     then the Neumann flux added to the last node: the 1D load assembly
     that node vectors replaced."""
     x = mesh.nodes
-    I_l, I_r = ld.hat_loads(problem.load, x[:-1], x[1:])
+    I_l, I_r = hat_values(problem.load, x[:-1], x[1:])
     e = np.arange(mesh.n_elements)
     conn = np.stack([e, e + 1], axis=1)
     vals = np.stack([I_l, I_r], axis=1)
@@ -397,7 +398,7 @@ def _reference_contraction_1d(problem, mesh, labeling, c_free):
     grad = np.zeros_like(x)
     np.add.at(grad, np.arange(h.size), -s)
     np.add.at(grad, np.arange(h.size) + 1, s)
-    dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr = ld.hat_load_derivs(problem.load, x[:-1], x[1:])
+    _, (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) = ld.hat_load_parts(problem.load, x[:-1], x[1:])
     cl = np.where(free_mask[:-1], c_full[:-1], 0.0)
     cr = np.where(free_mask[1:], c_full[1:], 0.0)
     np.add.at(grad, np.arange(h.size), -(cl * dIl_dxl + cr * dIr_dxl))
@@ -423,7 +424,7 @@ class TestNodeLoads1D:
                 ev.system.ell, _reference_loads_1d(problem, ev.mesh, ev.labeling))
             for c in (ev.c, rng.normal(size=ev.c.size)):
                 (grad,) = assembly_gradient_contraction(
-                    ev.mesh, ev.system, problem.material, problem.load, c)
+                    ev.mesh, ev.system, problem.material, c)
                 np.testing.assert_array_equal(
                     grad, _reference_contraction_1d(problem, ev.mesh, ev.labeling, c))
 

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import axis_mesh
 from ritzmesh import loads as ld
 from ritzmesh.assembly import (SparseSystem, _load_contraction, _stiffness_weights,
                                assemble_system, label_dirichlet)
 from ritzmesh.energy import ritz_energy
 from ritzmesh.errors import ConfigurationError, DegenerateMeshError
-from ritzmesh.mesh import EPS_MIN_FACTOR, TensorMesh2D, build_mesh_1d, mesh_pullback
+from ritzmesh.mesh import EPS_MIN_FACTOR, TensorMesh2D, mesh_pullback
 from ritzmesh.pipeline import evaluate_with_gradient
 from ritzmesh.problems import arctan2d, lshape
 from ritzmesh.solver import solve_spd
@@ -95,8 +96,8 @@ def _old_chain(problem, theta):
     and a pullback per axis, a load evaluation per term and axis, the
     hashed band plan and a second B c for the energy.  The stiffness
     values come from assemble_system, whose arithmetic is unchanged."""
-    params = problem.mesh_params(theta)
-    mesh = TensorMesh2D(*[build_mesh_1d(p) for p in params])
+    params = problem.axis_params
+    mesh = TensorMesh2D(*[axis_mesh(row, params) for row in np.reshape(theta, (2, -1))])
     labeling = label_dirichlet(mesh, problem.boundary)
     xs, ys = mesh.mesh_x.nodes, mesh.mesh_y.nodes
     parts = _old_area_load_derivs(problem.load, xs, ys)
@@ -105,8 +106,7 @@ def _old_chain(problem, theta):
     system = SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling)
     c = solve_spd(system).c
     grads = _old_contraction_2d(mesh, problem.material, parts, labeling.full_vector(c))
-    grad = np.concatenate([mesh_pullback(g, m.record, p)
-                           for g, m, p in zip(grads, mesh.axes, params)])
+    grad = np.concatenate([mesh_pullback(g, m.record, params) for g, m in zip(grads, mesh.axes)])
     return ritz_energy(system, c), c, grad
 
 
@@ -154,20 +154,16 @@ def test_axis_rows_are_bitwise_the_per_axis_chain(family, n, scale, seed, graded
     assert _first_difference((ev.J, ev.c, grad), want) is None
 
 
-def test_unequal_axes_keep_their_loads():
-    # a 7 x 5 tensor mesh: the shorter axis is led by empty elements,
-    # which leave no trace in its loads or derivatives
+def test_unequal_axes_raise():
+    # a 7 x 5 tensor mesh, which no ProblemSpec builds: its axes cannot be
+    # the rows of one array
     rng = np.random.default_rng(8)
     load = ld.LoadSpec("arctan2d", {"alpha": 12.0, "s1": 0.4, "s2": 0.65},
                        mode="quadrature", order=6)
     xs, ys = np.sort(rng.uniform(size=8)), np.sort(rng.uniform(size=6))
-    for got, want in zip(ld.area_load_derivs(load, xs, ys),
-                         _old_area_load_derivs(load, xs, ys)):
-        for (l_got, d_got), (l_want, d_want) in zip(got, want):
-            assert l_got.shape == l_want.shape and len(d_got) == 4
-            np.testing.assert_allclose(l_got, l_want, rtol=1e-14, atol=1e-14)
-            for g, w in zip(d_got, d_want):
-                np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13)
+    for load_fn in (ld.area_load_derivs, ld.area_loads):
+        with pytest.raises(ConfigurationError, match="one size"):
+            load_fn(load, xs, ys)
 
 
 def test_mesh_keeps_the_rows_record():

@@ -140,6 +140,26 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("content", [None, "5", "null", "[1]", b"\xff{"],
+                             ids=["directory", "number", "null", "list", "not-utf8"])
+    def test_unreadable_config(self, tmp_path, capsys, content):
+        path = tmp_path / "c.json"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("out", ["taken", "taken/o"], ids=["file", "under-file"])
+    def test_unusable_out(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("")
+        cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d", "N": 4})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_unknown_problem(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"problem": "warp_drive"})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -204,12 +224,26 @@ class TestExitCodes:
         ("solve", {"problem": "arctan1d", "N": True}),
         ("landscape", {"sweep": {"lo": "nan"}}),
         ("landscape", {"sweep": {"hi": "inf"}}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": "x"}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": {"counts": 5}}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": {"counts": [5.7, 5]}}),
+        ("train", {"problem": "arctan1d", "N": 8, "grid": {"counts": [1, 5]}}),
+        ("report", {"problem": "arctan1d", "N": 8, "grid": {"counts": [5, 5]}}),
+        ("report", {"problem": "arctan1d", "N": 8, "checkpoint": 5}),
+        ("report", {"problem": "arctan1d", "N": 8, "checkpoint": "missing.npz"}),
+        ("report", {"problem": "arctan1d", "N": 8, "checkpoint": "c.json"}),
+        ("report", {"problem": "arctan1d", "N": 8, "checkpoint": "."}),
+        ("train", {"problem": "constant1d", "N": 4}),
     ], ids=["iterations-x", "iterations-negative", "epochs-x", "batch-0", "monitor_every-0",
             "N_list-entry", "N_list-scalar", "sweep-count-x", "sweep-list", "movable_index-99",
             "landscape-N-0", "quad_orders-empty", "quad_orders-scalar", "solve-N-0",
             "solve-N-negative", "iterations-fraction", "iterations-bool", "solve-N-fraction",
-            "solve-N-bool", "sweep-lo-nan", "sweep-hi-inf"])
-    def test_bad_config_value(self, tmp_path, capsys, command, payload):
+            "solve-N-bool", "sweep-lo-nan", "sweep-hi-inf", "grid-string", "grid-counts-scalar",
+            "grid-count-fraction", "grid-count-1", "checkpoint-none", "checkpoint-number",
+            "checkpoint-missing", "checkpoint-not-npz", "checkpoint-directory",
+            "train-family-without-grid"])
+    def test_bad_config_value(self, tmp_path, capsys, monkeypatch, command, payload):
+        monkeypatch.chdir(tmp_path)    # relative checkpoint paths name files here
         cfg = write_config(tmp_path, "c.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("configuration error: ")

@@ -6,6 +6,7 @@ import pytest
 from ritzmesh.experiments import (
     PRESETS,
     fit_rate,
+    landscape_mesh,
     parametric_error_report,
     report_rows,
     run_convergence,
@@ -80,6 +81,15 @@ class TestRunLandscape:
                                          quad_orders=(2, 8))
         assert columns == ("theta", "J_exact_min", "J_quad_min_q2", "J_quad_min_q8")
         assert len(rows[0]) == 4
+
+    def test_only_an_interior_node_moves(self):
+        # moving node 0 or N (or -1, which is N) would sweep an end of the
+        # interval and so change the domain of the landscape
+        for index in (0, 10, -1):
+            with pytest.raises(ValueError, match="movable_index"):
+                landscape_mesh(10, index, 0.01)
+            with pytest.raises(ValueError, match="movable_index"):
+                run_landscape(n_elements=10, movable_index=index, offsets=np.array([0.05]))
 
 
 class TestReports:

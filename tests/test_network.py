@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ritzmesh.mesh import build_mesh_1d, MeshParams1D, softmax_partition
+from helpers import axis_mesh
+from ritzmesh.mesh import softmax_partition
 from ritzmesh.network import MlpParams, lecun_init, mlp_backward, mlp_forward
 from ritzmesh.optim import AdamState, adam_step, lr_at
 
@@ -56,7 +57,7 @@ class TestForwardBackward:
             arr[:] = 0.0
         logits, _ = mlp_forward(p, np.array([0.3, -0.7]))
         np.testing.assert_array_equal(logits, 0.0)
-        mesh = build_mesh_1d(MeshParams1D(theta=logits))
+        mesh = axis_mesh(logits)
         np.testing.assert_allclose(np.diff(mesh.nodes), 1 / 6, rtol=1e-14)
 
     def test_constant_output_column_gives_uniform_mesh(self):

@@ -1,28 +1,27 @@
-"""Problem registry, template defaults, and exact-energy lookup."""
+"""Problem factories, template defaults, and exact-energy lookup."""
 
 import numpy as np
 import pytest
 
+from helpers import axis_mesh
 from ritzmesh.errors import ConfigurationError
 from ritzmesh.loads import exact_energy, lshape_reference_energy, reference_ritz
 from ritzmesh.problems import (
-    BENCHMARKS,
     arctan1d,
     lshape,
     make_problem,
     power1d,
-    registry,
     twomaterial1d,
 )
 
 
 class TestRegistry:
     def test_five_benchmarks(self):
-        templates = registry()
-        assert [p.family for p in templates] == list(BENCHMARKS)
+        for family in ("arctan1d", "power1d", "twomaterial1d", "arctan2d", "lshape"):
+            assert make_problem(family).family == family
 
     def test_arctan_defaults(self):
-        p = registry()[0]
+        p = make_problem("arctan1d")
         assert p.sigma == (10.0, 0.5)
         assert p.boundary == "left"
         assert abs(p.load.bind("flux")() - 10.0 / 26.0) < 1e-15
@@ -62,12 +61,13 @@ class TestProblemSpec:
         with pytest.raises(ConfigurationError):
             twomaterial1d(10.0, n_elements=5).uniform_mesh()
 
-    def test_mesh_params_split_2d(self):
+    def test_logits_split_by_axis_2d(self):
+        # the flat logit vector holds the x block first, then the y block
         p = lshape(n_elements=6)
-        theta = np.arange(p.theta_size, dtype=float)
-        px, py = p.mesh_params(theta)
-        np.testing.assert_array_equal(px.theta, theta[:5])
-        np.testing.assert_array_equal(py.theta, theta[5:])
+        theta = np.arange(p.theta_size, dtype=float) / p.theta_size
+        mesh = p.build_mesh(theta)
+        for axis, block in zip(mesh.axes, (theta[:5], theta[5:])):
+            np.testing.assert_array_equal(axis.nodes, axis_mesh(block, p.axis_params).nodes)
 
     @pytest.mark.parametrize("make, expected", [(lambda: arctan1d(n_elements=8), 8),
                                                 (lambda: lshape(n_elements=8), 14)])

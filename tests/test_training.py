@@ -325,3 +325,14 @@ class TestCheckpoints:
         np.savez(path, version=np.array(99))
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["missing.npz", "array.npy", "other.npz", "empty.npz",
+                                      "text.npz", "."])
+    def test_other_files_are_configuration_errors(self, tmp_path, name):
+        from ritzmesh.errors import ConfigurationError
+        np.save(tmp_path / "array.npy", np.zeros(3))
+        np.savez(tmp_path / "other.npz", weights=np.zeros(3))
+        (tmp_path / "empty.npz").write_bytes(b"")
+        (tmp_path / "text.npz").write_text("not an archive")
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(tmp_path / name)
