@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from . import loads as ld
 from .errors import ConfigurationError
 from .mesh import Mesh1D
+from .solver import template, with_values
 
 COORD_TOL = 1e-12
 
@@ -119,12 +120,14 @@ def stack_materials(materials):
 
 @dataclass(eq=False)
 class Pattern:
-    """A cached CSR pattern (see _scatter_pattern) and plan, the solver's
-    band plan for it, None until its first solve."""
+    """A cached CSR pattern (see _scatter_pattern), its solver.template,
+    which each system copies, and plan, the solver's band plan for it,
+    None until its first solve."""
 
     indptr: np.ndarray
     indices: np.ndarray
     op: sp.csr_matrix
+    template: sp.csr_matrix
     plan: tuple | None = None
 
 
@@ -237,7 +240,7 @@ def _scatter_pattern(grid_shape, free_bytes):
     out = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, keys % free.size))
     for a in out + (op.data, op.indices, op.indptr):
         a.flags.writeable = False
-    return Pattern(*out, op)
+    return Pattern(*out, op, template(sp.csr_matrix, *out))
 
 
 def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
@@ -252,17 +255,14 @@ def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
     axes_nodes = [m.nodes for m in mesh.axes]
     _check_material_resolved(axes_nodes, material)
     if isinstance(mesh, Mesh1D):
-        parts = ld.hat_load_parts(load, mesh.nodes[:-1], mesh.nodes[1:])
+        parts = ld.hat_load_parts(load, mesh.nodes)
         rhs = ld.node_loads(*parts[0], load.bind("flux")())
     else:
         parts = ld.area_load_derivs(load, *axes_nodes)
         rhs = sum(np.outer(ly, lx).ravel() for (lx, _), (ly, _) in parts)
     pattern = _scatter_pattern(tuple(m.n_elements for m in mesh.axes), _free_bytes(labeling))
     weights = _stiffness_weights(axes_nodes, material)
-    B = sp.csr_matrix((pattern.op @ np.concatenate([w.ravel() for w in weights]),
-                       pattern.indices, pattern.indptr), shape=(labeling.n_free,) * 2)
-    B.indices = pattern.indices    # not the constructor's view: the solver's key
-    B.has_canonical_format = True
+    B = with_values(pattern.template, pattern.op @ np.concatenate([w.ravel() for w in weights]))
     return SparseSystem(B=B, ell=rhs[labeling.free], labeling=labeling, load_parts=parts,
                         weights=weights, pattern=pattern)
 

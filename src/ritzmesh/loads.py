@@ -12,8 +12,8 @@ of an affine shape function over an element is exact to roundoff:
 Hat loads and their element-endpoint derivatives, which feed the
 assembly gradient, follow from the Leibniz rule; an affinely mapped
 Gauss-Legendre rule has closed endpoint derivatives too, formed with the
-loads from one integrand evaluation.  A 1D step gets both as one
-(values, derivs) record from hat_load_parts, in either mode.
+loads from one integrand evaluation.  A 1D step gets both on node rows
+as one (values, derivs) record from hat_load_parts, in either mode.
 node_loads puts one axis's loads on its nodes, the Neumann flux as a
 point load at its right end b.  A 2D forcing is a sum of products of 1D
 factors, each with its flux at b, so its tensor rule over bilinear hats
@@ -92,8 +92,8 @@ class LoadSpec:
 def stack_loads(loads):
     """One LoadSpec for K loads of one family, mode and order whose
     parameters are (K, 1) columns ((K, 1, 1) for quadrature points), so
-    the 1D load functions evaluate (K, E) element arrays row by row.
-    Fluxes stay per load."""
+    the 1D load functions evaluate (K, M) node rows row by row and the
+    flux gives one value per row."""
     first = loads[0]
     shape = (len(loads), 1) if first.mode == "exact" else (len(loads), 1, 1)
     params = {key: np.reshape([load.params[key] for load in loads], shape)
@@ -219,13 +219,13 @@ def _arctan2d_factors(alpha, s1, s2, x):
 
 
 def arctan1d_neumann(alpha, s):
-    """u'(1) for the arctan sigmoid solution."""
-    return alpha / (1.0 + alpha**2 * (1.0 - s) ** 2)
+    """u'(1) for the arctan sigmoid solution, of floats or of columns."""
+    return alpha / (1.0 + _param_pow(alpha, 2) * _param_pow(1.0 - s, 2))
 
 
 def power_neumann(sigma):
-    """u'(1) = sigma for u = x^sigma."""
-    return float(sigma)
+    """u'(1) = sigma for u = x^sigma, of a float or of a column."""
+    return sigma
 
 
 def _no_flux(*params):
@@ -271,47 +271,45 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # exact elementwise integrals
 
-def hat_loads(load: LoadSpec, xl, xr):
-    """Loads of the falling and rising hats on elements [xl, xr]: the
-    falling hat (xr - x)/h's may be +/-inf at a forcing singularity, where
-    the node must be constrained; the rising hat (x - xl)/h's are finite.
-    """
-    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
+def hat_loads(load: LoadSpec, x):
+    """Loads (I_l, I_r) of the falling and rising hats on the elements of
+    node rows x (..., M), from F and G once per node: the falling hat's
+    may be +/-inf at a forcing singularity, where the node must be
+    constrained; the rising hat's are finite."""
+    x = np.asarray(x, dtype=float)
+    xl, xr = x[..., :-1], x[..., 1:]
     h = xr - xl
-    if load.family == "power":
+    G = load.bind("G")(x)
+    power = load.family == "power"
+    if power:
         sg = load.params["sigma"]
-        G_l, G_r = _power_G(sg, xl), _power_G(sg, xr)
-        F_r = _power_F(sg, xr)
-        I_r = (G_r - G_l - xl * F_r + _power_xF(sg, xl)) / h
         with np.errstate(divide="ignore"):
-            F_l = np.where(xl > _SINGULAR_TOL, _power_F(sg, np.maximum(xl, _SINGULAR_TOL)),
-                           np.where(sg < 1.0, -np.inf, _power_F(sg, 0.0)))
-        I_l = (xr * (F_r - F_l) - (G_r - G_l)) / h
-        return I_l, I_r
-    F, G = load.bind("F"), load.bind("G")
-    dF = F(xr) - F(xl)
-    dG = G(xr) - G(xl)
-    I_l = (xr * dF - dG) / h
-    I_r = (dG - xl * dF) / h
-    return I_l, I_r
+            F = np.where(x > _SINGULAR_TOL, _power_F(sg, np.maximum(x, _SINGULAR_TOL)),
+                         np.where(sg < 1.0, -np.inf, _power_F(sg, 0.0)))
+    else:
+        F = load.bind("F")(x)
+    dF, dG = F[..., 1:] - F[..., :-1], G[..., 1:] - G[..., :-1]
+    # power's x F(x) at a left end in a form finite at x = 0
+    I_r = (dG - xl * F[..., 1:] + _power_xF(sg, xl)) / h if power else (dG - xl * dF) / h
+    return (xr * dF - dG) / h, I_r
 
 
-def hat_load_derivs(load: LoadSpec, xl, xr, values):
-    """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) from the
-    values (I_l, I_r) of hat_loads.
+def hat_load_derivs(load: LoadSpec, x, values):
+    """Endpoint derivatives (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) on node
+    rows x from the values (I_l, I_r) of hat_loads, F and f once per node.
     Power-family entries tied to a left endpoint at the singularity are
     0: a constrained (zero) coefficient or the pinned interval end takes
-    them, so their divergent values never enter a gradient.
-    """
-    xl, xr = np.asarray(xl, dtype=float), np.asarray(xr, dtype=float)
-    h = xr - xl
-    F, f = load.bind("F"), load.bind("f")
+    them, so their divergent values never enter a gradient."""
+    x = np.asarray(x, dtype=float)
+    h = x[..., 1:] - x[..., :-1]
     I_l, I_r = values
     with np.errstate(divide="ignore", invalid="ignore"):
-        dF = F(xr) - F(xl)
-        derivs = (-f(xl) + I_l / h, dF / h - I_l / h, -dF / h + I_r / h, f(xr) - I_r / h)
+        F, f = load.bind("F")(x), load.bind("f")(x)
+        dF = F[..., 1:] - F[..., :-1]
+        derivs = (-f[..., :-1] + I_l / h, dF / h - I_l / h, -dF / h + I_r / h,
+                  f[..., 1:] - I_r / h)
     if load.family == "power":
-        singular = xl <= _SINGULAR_TOL
+        singular = x[..., :-1] <= _SINGULAR_TOL
         derivs = tuple(np.where(singular, 0.0, d) for d in derivs[:3]) + derivs[3:]
     return derivs
 
@@ -361,15 +359,15 @@ def line_hat_load_derivs(fun, xl, xr, rule: QuadratureRule):
     return (h * V[..., 0], h * V[..., 1]), np.moveaxis(derivs, -1, 0)
 
 
-def hat_load_parts(load: LoadSpec, xl, xr):
-    """The one 1D load record of elements [xl, xr]: (values, derivs), the
-    hat loads (I_l, I_r) and their endpoint derivatives (dIl_dxl, dIl_dxr,
-    dIr_dxl, dIr_dxr); by quadrature from one integrand evaluation."""
+def hat_load_parts(load: LoadSpec, x):
+    """The one 1D load record of node rows x (..., M): (values, derivs),
+    the hat loads (I_l, I_r) and their endpoint derivatives (dIl_dxl,
+    dIl_dxr, dIr_dxl, dIr_dxr); by quadrature from one integrand pass."""
     if load.mode == "exact":
-        values = hat_loads(load, xl, xr)
-        return values, hat_load_derivs(load, xl, xr, values)
+        values = hat_loads(load, x)
+        return values, hat_load_derivs(load, x, values)
     f, fp = load.bind("f"), load.bind("fp")
-    return line_hat_load_derivs(lambda x: (f(x), fp(x)), xl, xr, load.rule())
+    return line_hat_load_derivs(lambda t: (f(t), fp(t)), x[..., :-1], x[..., 1:], load.rule())
 
 
 # ---------------------------------------------------------------------------

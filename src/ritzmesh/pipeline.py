@@ -124,9 +124,9 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
     x = out.nodes[live]
     material = stack_materials([problems[k].material for k in live])
     load = ld.stack_loads([problems[k].load for k in live])
-    values, derivs = ld.hat_load_parts(load, x[:, :-1], x[:, 1:])
-    flux = np.array([[problems[k].load.bind("flux")()] for k in live])
-    c_full = _solve_1d(first.boundary, x, material, ld.node_loads(*values, flux), live, out)
+    values, derivs = ld.hat_load_parts(load, x)
+    rhs = ld.node_loads(*values, np.reshape(load.bind("flux")(), (-1, 1)))
+    c_full = _solve_1d(first.boundary, x, material, rhs, live, out)
     solved = live[out.kept[live]]
     if scales is None or solved.size == 0:
         return out
@@ -145,7 +145,7 @@ def _solve_1d(boundary, x, material, rhs, live, out):
     row; the stiffness is symmetric, so its CSR arrays are its CSC arrays."""
     c_full = np.zeros_like(x)
     for rows, labeling, indptr, indices, data in stiffness_batch_1d(x, boundary, material):
-        ells = [rhs[i, labeling.free] for i in rows]
+        ells = rhs[np.ix_(rows, labeling.free)]
         for i, ell, (result, Bc) in zip(rows, ells, solve_splu_batch(indptr, indices, data, ells)):
             if isinstance(result, SolverError):
                 out.errors[live[i]] = result

@@ -4,26 +4,25 @@ Because the Ritz energy is stationary in the coefficients at the
 discrete solution, callers treat the returned coefficients as
 constants; nothing here is ever differentiated.
 
-Every system of band width kd > 1 (a 2D tensor mesh's, of band width
-Nx+1 in free order) is factored by LAPACK's banded Cholesky in lower
-band storage on one BLAS thread: 0.63-0.68 times the time of upper
-storage, and about half that of two threads (lshape N=128, a 2-core x86
-host).  Its band scatter and O(nnz) symmetry check are planned once per
-pattern and kept with an assembled system's cached pattern.  A band of
-more than MAX_BAND_BYTES raises SolverError before it is allocated.
-Tridiagonal (1D) systems keep splu: parametric arctan runs amplify a
-last-bit change of c into the final errors recorded against it, and its
-COLAMD order permutes even a tridiagonal matrix.  A batch of 1D systems
-on one pattern takes one splu of their block diagonal, bitwise one splu
-each.  Each solve's normwise backward error ||B c - ell|| /
-(||B||_F ||c|| + ||ell||), ||B||_F over the stored entries, must be at
-most RESIDUAL_TOL (Rigal & Gaches 1967; Higham, Accuracy and Stability
-of Numerical Algorithms, ch. 7).  These factorizations are backward
-stable on SPD systems, so nothing is refined; ||B c - ell|| <=
+A system of band width kd > 1 (a 2D tensor mesh's) is factored by
+LAPACK's banded Cholesky on its lower band and one BLAS thread, from a
+band plan (scatter and O(nnz) symmetry check) kept with an assembled
+system's pattern; a band of more than MAX_BAND_BYTES raises SolverError
+before it is allocated.  Tridiagonal (1D) systems keep splu: parametric
+arctan runs amplify a last-bit change of c into their recorded final
+errors, and its COLAMD order permutes even a tridiagonal matrix.  G 1D
+systems on one pattern take one splu of their block diagonal, bitwise
+one splu each, on matrices copied from templates cached per pattern.
+Each solve's normwise backward error ||B c - ell|| / (||B||_F ||c|| +
+||ell||), ||B||_F over the stored entries, must be at most RESIDUAL_TOL
+(Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 7), checked once per system.  These factorizations are
+backward stable on SPD systems, so nothing is refined; ||B c - ell|| <=
 RESIDUAL_TOL ||ell||, which even the rounded exact solution misses on
 graded meshes, is not asked.
 """
 
+import copy
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -103,12 +102,12 @@ def solve_spd(system) -> SolveReport:
             1.0, np.abs(B.data).max(initial=0.0)):
         raise SolverError("stiffness matrix is not symmetric")
 
-    method = "banded-cholesky" if kd > 1 else "splu"
-    ell_norm = np.linalg.norm(ell)
-    if ell_norm == 0.0:
-        return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0, method=method)
-    if method == "splu":
+    if kd <= 1:
         return solve_splu(B.tocsc(), ell)
+    ell_norm = _norm(ell)
+    if ell_norm == 0.0:
+        return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0,
+                           method="banded-cholesky")
 
     ab = np.zeros((kd + 1) * n)
     ab[pos] = B.data[lower]
@@ -119,7 +118,8 @@ def solve_spd(system) -> SolveReport:
         if info != 0:
             raise SolverError(f"banded Cholesky failed: minor {info} is not positive definite")
         # a wrong solve from dpbtrs misses the backward-error check
-        return _single(lambda b: pbtrs(factor, b, lower=1)[0], B, ell, ell_norm, method)
+        c = pbtrs(factor, ell, lower=1)[0]
+        return _report(B.data, c, B @ c, ell, ell_norm, "banded-cholesky")
 
 
 @lru_cache(maxsize=1)
@@ -132,7 +132,7 @@ def solve_splu(A, ell) -> SolveReport:
     """solve_spd's 'splu' path for a canonical CSC matrix A known to be
     symmetric (an assembled 1D stiffness matrix), without its checks."""
     _check_load(ell)
-    ell_norm = np.linalg.norm(ell)
+    ell_norm = _norm(ell)
     if ell_norm == 0.0:
         return SolveReport(c=np.zeros(ell.size), residual_norm=0.0, iterations=0,
                            method="splu")
@@ -140,132 +140,126 @@ def solve_splu(A, ell) -> SolveReport:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
-    return _single(lu.solve, A, ell, ell_norm, "splu")
+    c = lu.solve(ell)
+    return _report(A.data, c, A @ c, ell, ell_norm, "splu")
 
 
 def solve_splu_batch(indptr, indices, data, ells):
     """solve_splu(A_g, ells[g]) for the G matrices A_g on one symmetric
-    canonical int32 CSC pattern (indptr, indices) with values data[g],
-    bitwise, from one ``splu`` of their block diagonal.
-
-    Returns per matrix (SolveReport, A_g c), or (the SolverError that
-    solve_splu raises, None).  Matrices with zero or non-finite loads,
-    and all of them if the block factor fails or pivots off the
-    diagonal, go through solve_splu one at a time.
-    """
-    n = len(indptr) - 1
-    norms = np.array([np.linalg.norm(ell) for ell in ells])
-    blocked = (norms > 0.0) & (norms < np.inf)
-    factor = _block_factor(indptr, indices, data) if blocked.any() else None
-    if factor is not None:
-        solved = _checked(*factor, np.concatenate(
-            [ell if ok else np.zeros(n) for ell, ok in zip(ells, blocked)]), norms, "splu")
-    out = []
-    for g, ell in enumerate(ells):
-        if factor is not None and blocked[g]:
-            out.append(solved[g])
-            continue
-        A = _csc(data[g], indices, indptr)
-        try:
-            report = solve_splu(A, ell)
-            out.append((report, A @ report.c))
-        except SolverError as exc:
-            out.append((exc, None))
-    return out
+    canonical int32 CSC pattern (indptr, indices) with values data[g]
+    and the rows of (G, n) loads ells, bitwise, from one ``splu`` of their
+    block diagonal.  Returns per matrix (SolveReport, A_g c), or (the
+    SolverError that solve_splu raises, None).  Matrices with zero or
+    non-finite loads, and all of them if the block factor fails or pivots
+    off the diagonal, go through solve_splu one at a time."""
+    ells = np.asarray(ells, dtype=float)
+    single, *block = _block_pattern(np.asarray(indptr, dtype=np.int32).tobytes(),
+                                    np.asarray(indices, dtype=np.int32).tobytes(), len(data))
+    ell_norms = _norm(ells)
+    blocked = (ell_norms > 0.0) & (ell_norms < np.inf)
+    solved = _block_solve(block, data, ells, ell_norms, blocked) if blocked.any() else None
+    return [result or _solve_one(with_values(single, values), ell)
+            for result, values, ell in zip(solved or [None] * len(ells), data, ells)]
 
 
-def _block_factor(indptr, indices, data):
-    """(solve, B) for the block diagonal B of the matrices with values
-    data[g]: solve runs one natural-order ``splu`` of the blocks, each
-    permuted into the column order ``splu`` picks for the pattern.  None
-    if that factor fails or pivots off the diagonal, where the single
-    factors' arithmetic may differ."""
-    b_indptr, b_indices, p_indptr, p_indices, take, gather, scatter = _block_pattern(
-        np.asarray(indptr, dtype=np.int32).tobytes(),
-        np.asarray(indices, dtype=np.int32).tobytes(), len(data))
+def _solve_one(A, ell):
+    try:
+        report = solve_splu(A, ell)
+    except SolverError as exc:
+        return exc, None
+    return report, A @ report.c
+
+
+def _block_solve(pattern, data, ells, ell_norms, blocked):
+    """Per blocked row g, (SolveReport, A_g c) or (SolverError, None), from
+    one natural-order ``splu`` of the blocks on _block_pattern's block part;
+    None if it fails or pivots off the diagonal (single factors may differ)."""
+    block, permuted, take, gather, scatter = pattern
     values = data.ravel()
     try:
         # splu's other defaults stay: they shape the supernodes, and so the arithmetic
-        lu = spla.splu(_csc(values[take], p_indices, p_indptr), permc_spec="NATURAL")
+        lu = spla.splu(with_values(permuted, values[take]), permc_spec="NATURAL")
     except RuntimeError:
         return None
     natural = np.arange(gather.size)
     if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
         return None
-    return (lambda b: lu.solve(b[gather])[scatter]), _csc(values, b_indices, b_indptr)
+    rhs = np.where(blocked[:, None], ells, 0.0)
+    c = lu.solve(rhs.ravel()[gather])[scatter]
+    c, Bc = c.reshape(ells.shape), (with_values(block, values) @ c).reshape(ells.shape)
+    residual, B_norm, c_norm = (_norm(a) for a in (Bc - rhs, values.reshape(len(c), -1), c))
+    out = [None] * len(ells)
+    for g in np.flatnonzero(blocked):
+        try:
+            _check_residual(float(residual[g]), B_norm[g], c_norm[g], ell_norms[g])
+            out[g] = (SolveReport(c=c[g], residual_norm=float(residual[g]), iterations=0,
+                                  method="splu", Bc=Bc[g]), Bc[g])
+        except SolverError as exc:
+            out[g] = (exc, None)
+    return out
 
 
-def _csc(data, indices, indptr):
-    A = sp.csc_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2)
+def template(kind, indptr, indices):
+    """A canonical sparse matrix of kind (sp.csr_matrix or sp.csc_matrix)
+    on (indptr, indices) made read-only int32 (contiguous int32 arrays are
+    kept as given), whose values are read-only zeros of stride 0, which
+    hold no memory; with_values gives it values."""
+    indptr, indices = (np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, indices))
+    A = kind((np.broadcast_to(0.0, indices.size), indices, indptr), shape=(indptr.size - 1,) * 2)
+    A.indptr, A.indices = indptr, indices    # not the constructor's views
     A.has_canonical_format = True
+    for a in (indptr, indices):
+        a.flags.writeable = False
+    return A
+
+
+def with_values(template, data):
+    """template's matrix with values data: a shallow copy, which leaves
+    the template as it was and skips scipy's format check."""
+    A = copy.copy(template)
+    A.data = data
     return A
 
 
 @lru_cache(maxsize=16)
 def _block_pattern(indptr_bytes, indices_bytes, G):
-    """Index arrays for the block diagonal of G matrices on one symmetric
-    int32 CSC pattern: its (indptr, indices); those of the blocks
-    permuted into the column order p that ``splu`` picks for the pattern
-    (block g holds A_g[q][:, q], q = argsort(p)) and the order take of
-    the raveled (G, nnz) values in them; gather and scatter, which move a
-    vector into and out of that order.  COLAMD and the etree postorder
-    read only the pattern, so any SPD matrix on it finds p.
+    """For G matrices on one symmetric int32 CSC pattern: the CSC template
+    of the pattern, of its block diagonal and of the blocks permuted into
+    the column order p that ``splu`` picks for the pattern (block g holds
+    A_g[q][:, q], q = argsort(p)); the order take of the raveled (G, nnz)
+    values in the last; gather and scatter, which move a vector into and
+    out of that order.  COLAMD and the etree postorder read only the
+    pattern, so any SPD matrix on it finds p.
     """
-    indptr = np.frombuffer(indptr_bytes, dtype=np.int32)
-    indices = np.frombuffer(indices_bytes, dtype=np.int32)
+    indptr, indices = (np.frombuffer(b, dtype=np.int32) for b in (indptr_bytes, indices_bytes))
+    single = template(sp.csc_matrix, indptr, indices)
     n, nnz = indptr.size - 1, indices.size
     cols = np.repeat(np.arange(n), np.diff(indptr))
     # diagonally dominant: each column's entry count on the diagonal, -1 off it
-    p = spla.splu(_csc(np.where(indices == cols, np.diff(indptr)[cols], -1.0), indices,
-                       indptr)).perm_c
+    dominant = np.where(indices == cols, np.diff(indptr)[cols], -1.0)
+    p = spla.splu(with_values(single, dominant)).perm_c
     rows, cols = p[indices], p[cols]
     take = np.lexsort((rows, cols))
     shift = np.arange(G)[:, None]
 
     def blocks(indptr, indices):
-        return (np.append((indptr[:-1] + nnz * shift).ravel(), G * nnz),
-                (indices + n * shift).ravel())
+        indptr = np.append((indptr[:-1] + nnz * shift).ravel(), G * nnz)
+        return template(sp.csc_matrix, indptr, (indices + n * shift).ravel())
 
-    out = (*blocks(indptr, indices),
-           *blocks(np.append(0, np.cumsum(np.bincount(cols, minlength=n))), rows[take]),
-           (take + nnz * shift).ravel(), (np.argsort(p) + n * shift).ravel(),
-           (p + n * shift).ravel())
-    out = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in out)
-    for a in out:
+    orders = [(a + k * shift).ravel().astype(np.int32)
+              for a, k in ((take, nnz), (np.argsort(p), n), (p, n))]
+    for a in orders:
         a.flags.writeable = False
-    return out
+    return (single, blocks(indptr, indices),
+            blocks(np.append(0, np.cumsum(np.bincount(cols, minlength=n))), rows[take]), *orders)
 
 
-def _single(solve, B, ell, ell_norm, method) -> SolveReport:
-    ((report, _),) = _checked(solve, B, ell, [ell_norm], method)
-    if isinstance(report, SolverError):
-        raise report
-    return report
-
-
-def _checked(solve, B, ell, ell_norms, method):
-    """c = solve(ell) with a factor of the block diagonal B of
-    len(ell_norms) blocks on one pattern, each block's backward error
-    checked once against the values of that block.  Returns per block
-    (SolveReport, B c), or (SolverError, None) if it misses the contract."""
-    G = len(ell_norms)
-    n = ell.size // G
-    c = solve(ell)
-    Bc = B @ c
-    r = Bc - ell
-    out = []
-    for g, (values, ell_norm) in enumerate(zip(B.data.reshape(G, -1), ell_norms)):
-        b = slice(g * n, (g + 1) * n)
-        # each block's norms on its own 1-D array, as a single solve takes them
-        c_g, residual = c[b].copy(), float(np.linalg.norm(r[b].copy()))
-        try:
-            _check_residual(residual, np.linalg.norm(values), np.linalg.norm(c_g), ell_norm)
-            report = SolveReport(c=c_g, residual_norm=residual, iterations=0,
-                                 method=method, Bc=Bc[b].copy())
-            out.append((report, report.Bc))
-        except SolverError as exc:
-            out.append((exc, None))
-    return out
+def _report(values, c, Bc, ell, ell_norm, method) -> SolveReport:
+    """The report of c for B c = ell, B of stored values `values` and
+    B c = Bc, if c meets the backward-error contract."""
+    residual = float(_norm(Bc - ell))
+    _check_residual(residual, _norm(values), _norm(c), ell_norm)
+    return SolveReport(c=c, residual_norm=residual, iterations=0, method=method, Bc=Bc)
 
 
 def _thread_setter(libs):
@@ -301,6 +295,14 @@ def _one_blas_thread():
 def _check_load(ell):
     if not np.isfinite(ell).all():
         raise SolverError("load vector contains non-finite entries")
+
+
+def _norm(a):
+    """||a||_2 of a vector, or of each row of a (G, n) array, bitwise as
+    np.linalg.norm takes a vector: one contiguous ddot each, which is what
+    matmul's row-by-column product runs."""
+    a = np.ascontiguousarray(a)
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 def _check_residual(residual, B_norm, c_norm, ell_norm):

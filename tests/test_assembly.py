@@ -398,7 +398,7 @@ def _reference_contraction_1d(problem, mesh, labeling, c_free):
     grad = np.zeros_like(x)
     np.add.at(grad, np.arange(h.size), -s)
     np.add.at(grad, np.arange(h.size) + 1, s)
-    _, (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) = ld.hat_load_parts(problem.load, x[:-1], x[1:])
+    _, (dIl_dxl, dIl_dxr, dIr_dxl, dIr_dxr) = ld.hat_load_parts(problem.load, x)
     cl = np.where(free_mask[:-1], c_full[:-1], 0.0)
     cr = np.where(free_mask[1:], c_full[1:], 0.0)
     np.add.at(grad, np.arange(h.size), -(cl * dIl_dxl + cr * dIr_dxl))
@@ -550,3 +550,24 @@ class TestScatterPattern:
             ev.system.B.indices[0] = 1
         with pytest.raises(ValueError):
             op.data[0] = 1.0
+
+    def test_systems_are_copies_of_the_template(self):
+        # two systems on one pattern: each holds the pattern's own index
+        # arrays and its own values; the template keeps its read-only zeros
+        problem = lshape(1.7, 0.4, n_elements=8)
+        rng = np.random.default_rng(12)
+        first, second = (evaluate(problem, rng.normal(0, 0.3, problem.theta_size)).system
+                         for _ in range(2))
+        pattern = first.pattern
+        assert second.pattern is pattern
+        template = pattern.template
+        for B in (first.B, second.B):
+            assert B.indptr is pattern.indptr and B.indices is pattern.indices
+            assert B.has_canonical_format and B.shape == template.shape
+            assert not np.shares_memory(B.data, template.data)
+        assert not np.shares_memory(first.B.data, second.B.data)
+        assert np.any(first.B.data != second.B.data)
+        kept = second.B.data.copy()
+        first.B.data[:] = 0.0
+        np.testing.assert_array_equal(second.B.data, kept)
+        assert not template.data.any() and not template.data.flags.writeable

@@ -98,7 +98,7 @@ def test_power_batch_drops_infinite_dirichlet_load():
     logits = rng.normal(0.0, 0.5, (3, 16))
     for problem, theta in zip(probs, logits):
         x = problem.build_mesh(theta).nodes
-        assert not np.isfinite(ld.hat_loads(problem.load, x[:1], x[1:2])[0][0])
+        assert not np.isfinite(ld.hat_loads(problem.load, np.stack([x[:1], x[1:2]], -1))[0][0, 0])
     scales = np.ones(3)
     _assert_rows_match(pipeline.evaluate_batch(probs, logits, scales), probs, logits, scales)
 

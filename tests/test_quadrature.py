@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hat_values
+from helpers import hat_load_derivs_oracle, hat_loads_oracle, hat_values
 from ritzmesh.assembly import _load_contraction
 from ritzmesh.errors import ConfigurationError
 from ritzmesh.loads import (
@@ -24,6 +24,7 @@ from ritzmesh.loads import (
     line_hat_load_derivs,
     line_hat_loads,
     power_neumann,
+    stack_loads,
 )
 from ritzmesh.quadrature import gauss_legendre
 
@@ -89,7 +90,7 @@ def _affine_load(load, xl, xr, a0, a1):
     """int_{xl}^{xr} f (a0 + a1 x) dx from hat_loads: the affine
     function is a0 + a1 xl times the falling hat plus a0 + a1 xr times
     the rising one."""
-    I_l, I_r = hat_loads(load, np.array([xl]), np.array([xr]))
+    I_l, I_r = hat_loads(load, np.stack([xl, xr], -1))
     return float((a0 + a1 * xl) * I_l[0] + (a0 + a1 * xr) * I_r[0])
 
 
@@ -147,7 +148,7 @@ class TestExactLoads:
         # the falling hat is 1 at the singularity, where f ~ x^(sg-2) is
         # not integrable for sg < 1; the rising hat's load stays finite
         load = LoadSpec("power", {"sigma": 0.7})
-        I_l, I_r = hat_loads(load, np.array([0.0]), np.array([0.1]))
+        I_l, I_r = hat_loads(load, np.array([0.0, 0.1]))
         assert np.isposinf(I_l[0])
         assert np.isfinite(I_r[0])
 
@@ -156,7 +157,7 @@ class TestExactLoads:
         load = LoadSpec("power", {"sigma": sg})
         h = 0.1
         # the rising hat x/h alone: the falling hat's load is infinite here
-        got = hat_loads(load, np.array([0.0]), np.array([h]))[1][0]
+        got = hat_loads(load, np.array([0.0, h]))[1][0]
         # int_0^h sg (1-sg) x^(sg-2) (x/h) dx = (1-sg) h^(sg-1)
         assert abs(got - (1 - sg) * h ** (sg - 1)) < 1e-13
 
@@ -182,7 +183,7 @@ class TestExactLoads:
         # pair applied to the hat as one affine function
         load = LoadSpec("arctan1d", {"alpha": 10.0, "s": 0.5})
         xl, xr = np.array([0.3]), np.array([0.45])
-        I_l, I_r = hat_loads(load, xl, xr)
+        I_l, I_r = (v[:, 0] for v in hat_loads(load, np.stack([xl, xr], -1)))
         h = 0.15
         F, G = load.bind("F"), load.bind("G")
 
@@ -541,7 +542,7 @@ class TestLoadDerivatives:
         rng = np.random.default_rng(21)
         xl = rng.uniform(0.05, 0.5, size=8)
         xr = xl + rng.uniform(0.05, 0.3, size=8)
-        d = hat_load_parts(load, xl, xr)[1]
+        d = [v[:, 0] for v in hat_load_parts(load, np.stack([xl, xr], -1))[1]]
         step = 1e-7
         fd = []
         for lo, hi in ((xl + step, xr), (xl - step, xr), (xl, xr + step), (xl, xr - step)):
@@ -564,7 +565,7 @@ def _power_derivs_oracle(load, xl, xr):
     h = xr - xl
     singular = xl <= _SINGULAR_TOL
     safe_xl = np.where(singular, 0.5 * (xl + xr), xl)
-    I_l_s, I_r_s = hat_loads(load, safe_xl, xr)
+    I_l_s, I_r_s = (v[..., 0] for v in hat_loads(load, np.stack([safe_xl, xr], -1)))
     fl = _power_f(sg, safe_xl)
     fr = _power_f(sg, xr)
     dF = _power_F(sg, xr) - _power_F(sg, safe_xl)
@@ -574,7 +575,7 @@ def _power_derivs_oracle(load, xl, xr):
     dIr_dxl = -dF / hs + I_r_s / hs
     dIr_dxr = fr - I_r_s / hs
     zero = np.zeros_like(xl)
-    _, I_r = hat_loads(load, xl, xr)
+    I_r = hat_loads(load, np.stack([xl, xr], -1))[1][..., 0]
     dIr_dxr_true = fr - I_r / h
     return (np.where(singular, zero, dIl_dxl), np.where(singular, zero, dIl_dxr),
             np.where(singular, zero, dIr_dxl), np.where(singular, dIr_dxr_true, dIr_dxr))
@@ -587,10 +588,39 @@ class TestPowerDerivatives:
             load = LoadSpec("power", {"sigma": sg})
             for _ in range(50):
                 x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, size=8)), [1.0]])
-                got = hat_load_parts(load, x[:-1], x[1:])[1]
+                got = [d[:, 0] for d in hat_load_parts(load, np.stack([x[:-1], x[1:]], -1))[1]]
                 for g, want in zip(got, _power_derivs_oracle(load, x[:-1], x[1:])):
                     np.testing.assert_array_equal(g, want)
                     assert np.all(np.isfinite(g))
+
+
+class TestNodeRows:
+    @pytest.mark.parametrize("family,draw", [
+        ("arctan1d", lambda rng: {"alpha": rng.uniform(1, 50), "s": rng.uniform(0.1, 0.9)}),
+        ("sine_material", lambda rng: {}),
+        ("constant", lambda rng: {"value": rng.uniform(-3, 3)}),
+        ("power", lambda rng: {"sigma": rng.uniform(0.51, 3.0)}),
+    ], ids=["arctan1d", "sine_material", "constant", "power"])
+    def test_bitwise_the_per_element_formulas(self, family, draw):
+        # F, G and f once per node give, on (K, M) rows with stacked
+        # loads and on single rows, the bits of each element's own ends;
+        # power's row 0 starts at the singularity, sigma < 1 there
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            specs = [LoadSpec(family, draw(rng)) for _ in range(4)]
+            if family == "power":
+                specs[0] = LoadSpec("power", {"sigma": 0.7})
+            x = np.sort(rng.uniform(0.0, 1.0, (4, 9)), axis=1)
+            x[0, 0] = 0.0
+            for load, rows in [(stack_loads(specs), x), *zip(specs, x)]:
+                xl, xr = rows[..., :-1], rows[..., 1:]
+                want = hat_loads_oracle(load, xl, xr)
+                want_derivs = hat_load_derivs_oracle(load, xl, xr, want)
+                values, derivs = hat_load_parts(load, rows)
+                for got, ref in zip(values + derivs, want + want_derivs):
+                    assert got.shape == xl.shape
+                    np.testing.assert_array_equal(got, ref)
+            assert family != "power" or np.isposinf(hat_loads(stack_loads(specs), x)[0][0, 0])
 
 
 class TestNeumannData:

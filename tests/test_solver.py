@@ -530,6 +530,32 @@ class TestSolveBatch:
         assert all(not isinstance(result, SolverError) for result, _ in batch[::2])
 
 
+    def test_second_batch_leaves_the_templates(self):
+        # two batches on one pattern with different values: the second
+        # reuses the cached templates, gets its own bits, single solves'
+        # included (a zero load skips the block), and the templates keep
+        # their read-only zeros
+        rng = np.random.default_rng(9)
+
+        def systems():
+            return [evaluate(arctan1d(rng.uniform(1, 50), rng.uniform(0.2, 0.8), n_elements=16),
+                             rng.normal(0, 0.5, 16)).system for _ in range(3)]
+
+        first, second = systems(), systems()
+        second[1] = SparseSystem(B=second[1].B, ell=np.zeros_like(second[1].ell),
+                                 labeling=second[1].labeling)
+        A = _csc(first[0].B)
+        key = (A.indptr.tobytes(), A.indices.tobytes(), 3)
+        batch = _assert_batch_is_single_solves(first)
+        templates = solver._block_pattern(*key)[:3]
+        hits = solver._block_pattern.cache_info().hits
+        again = _assert_batch_is_single_solves(second)
+        assert solver._block_pattern.cache_info().hits == hits + 1
+        assert not np.array_equal(batch[0][0].c, again[0][0].c)
+        for template in templates:
+            assert not template.data.any() and not template.data.flags.writeable
+
+
 class TestBlasThreads:
     def test_missing_library_or_symbol_gives_no_setter(self, tmp_path):
         assert solver._thread_setter(tmp_path) is None
