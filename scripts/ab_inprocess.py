@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Time one case of two checkouts in one process, in alternating blocks.
 
-    python scripts/ab_inprocess.py PARENT CHANGE --case param-batch \
-        --blocks 30 --reps 100 --seed 0
+    python scripts/ab_inprocess.py PARENT CHANGE --case param-batch --blocks 30
 
 Each checkout's src/ritzmesh is imported as a package of its own
 (``ritzmesh_parent`` and ``ritzmesh_change``: its modules import each
@@ -16,9 +15,9 @@ benchmark's sizes:
   50-point quadrature;
 - adapt-lshape: one evaluate_with_gradient, lshape N=128.
 
-Logits are drawn from N(0, 0.1) with the seed, the same on both sides.
-After one warm-up block per side, block i runs the case reps times on
-one side and then on the other, the parent first in even blocks, so a
+Logits are drawn from N(0, 0.1) with SEED, the same on both sides.
+After one warm-up block per side, block i runs the case CASES[case]
+times on one side and then on the other, the parent first in even blocks, so a
 drift of the host's speed favours neither.  The script prints every
 block's ratio (change time over parent time), then their median with a
 bootstrap 95% interval over blocks; a ratio below 1 means the change is
@@ -39,9 +38,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-#: case -> default repetitions per block (a block of roughly 50-100 ms)
+#: case -> repetitions per block (a block of roughly 50-100 ms)
 CASES = {"param-batch": 100, "param-epoch": 1, "adapt-arctan2d": 100, "adapt-lshape": 4}
 BOOTSTRAP = 2000
+SEED = 0
 
 
 def load(checkout, name):
@@ -58,18 +58,18 @@ def load(checkout, name):
     return lambda module: importlib.import_module(f"{name}.{module}")
 
 
-def make_case(case, rm, seed):
+def make_case(case, rm):
     """A function of no arguments that runs the case once on one side."""
     problems, pipeline = rm("problems"), rm("pipeline")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     if case in ("param-batch", "param-epoch"):
         sampling = rm("sampling")
         grid = sampling.split_train_test(
-            sampling.default_axes("arctan1d", counts=(10, 10)), seed=seed)
+            sampling.default_axes("arctan1d", counts=(10, 10)), seed=SEED)
         if case == "param-epoch":
             training = rm("training")
             return lambda: training.train_parametric("arctan1d", grid, 16, epochs=5, batch=10,
-                                                     seed=seed, monitor_every=70)
+                                                     seed=SEED, monitor_every=70)
         items = [problems.make_problem("arctan1d", sigma=tuple(grid.tuples[i].tolist()),
                                        n_elements=16) for i in grid.train_idx[:10]]
         logits = rng.normal(0.0, 0.1, (len(items), items[0].theta_size))
@@ -92,7 +92,7 @@ def block(run, reps):
     return (time.perf_counter() - start) / reps
 
 
-def compare(runs, blocks, reps, seed):
+def compare(runs, blocks, reps):
     """Per-block ratios change/parent, and their median with a bootstrap
     95% interval over blocks."""
     parent, change = runs
@@ -107,7 +107,7 @@ def compare(runs, blocks, reps, seed):
             t_parent = block(parent, reps)
         ratios.append(t_change / t_parent)
     ratios = np.array(ratios)
-    picks = np.random.default_rng(seed).integers(0, ratios.size, (BOOTSTRAP, ratios.size))
+    picks = np.random.default_rng(SEED).integers(0, ratios.size, (BOOTSTRAP, ratios.size))
     low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
     return ratios, float(np.median(ratios)), float(low), float(high)
 
@@ -118,19 +118,14 @@ def main(argv=None):
     parser.add_argument("change", type=Path)
     parser.add_argument("--case", choices=sorted(CASES), required=True)
     parser.add_argument("--blocks", type=int, default=30)
-    parser.add_argument("--reps", type=int, default=None,
-                        help="runs per block (default: per case, about 50-100 ms a block)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.blocks < 1:
         parser.error("--blocks must be at least 1")
-    reps = CASES[args.case] if args.reps is None else args.reps
-    if reps < 1:
-        parser.error("--reps must be at least 1")
+    reps = CASES[args.case]
     sys.dont_write_bytecode = True
-    runs = [make_case(args.case, load(path, f"ritzmesh_{side}"), args.seed)
+    runs = [make_case(args.case, load(path, f"ritzmesh_{side}"))
             for path, side in ((args.parent, "parent"), (args.change, "change"))]
-    ratios, median, low, high = compare(runs, args.blocks, reps, args.seed)
+    ratios, median, low, high = compare(runs, args.blocks, reps)
     print("block ratios: " + " ".join(f"{r:.3f}" for r in ratios))
     print(f"{args.case}: change/parent {median:.3f} [{low:.3f}, {high:.3f}] "
           f"(median of {ratios.size} blocks of {reps}, bootstrap 95%)")

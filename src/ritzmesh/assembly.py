@@ -120,12 +120,10 @@ def stack_materials(materials):
 
 @dataclass(eq=False)
 class Pattern:
-    """A cached CSR pattern (see _scatter_pattern), its solver.template,
-    which each system copies, and plan, the solver's band plan for it,
-    None until its first solve."""
+    """A cached CSR pattern (see _scatter_pattern): its operator op, its
+    solver.template, whose indptr and indices each system shares, and
+    plan, the solver's band plan for it, None until its first solve."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
     op: sp.csr_matrix
     template: sp.csr_matrix
     plan: tuple | None = None
@@ -206,11 +204,11 @@ def _connectivity_2d(nx, ny):
 @lru_cache(maxsize=8)
 def _scatter_pattern(grid_shape, free_bytes):
     """The Pattern of an element grid, (n_elements,) in 1D and (nx, ny)
-    in 2D, and a free-node set, the int64 free indices as bytes: the
-    restricted CSR indptr and indices (int32, rows and columns in free
-    order, columns sorted, Dirichlet entries left out) and the operator
-    op from the concatenated raveled _stiffness_weights to the CSR data,
-    op @ w.  Every array, op's too, is read-only."""
+    in 2D, and a free-node set, the int64 free indices as bytes: a
+    template on the restricted CSR indptr and indices (int32, rows and
+    columns in free order, columns sorted, Dirichlet entries left out)
+    and the operator op from the concatenated raveled _stiffness_weights
+    to the CSR data, op @ w.  Every array, op's too, is read-only."""
     if len(grid_shape) == 1:
         e = np.arange(grid_shape[0])
         conn = np.stack([e, e + 1], axis=1)
@@ -237,10 +235,9 @@ def _scatter_pattern(grid_shape, free_bytes):
          (element[:, None] + n_el * np.arange(len(local), dtype=np.int32)).ravel(),
          len(local) * np.append(0, np.cumsum(np.bincount(slot))).astype(np.int32)),
         shape=(keys.size, len(local) * n_el))
-    out = tuple(np.ascontiguousarray(a, dtype=np.int32) for a in (indptr, keys % free.size))
-    for a in out + (op.data, op.indices, op.indptr):
+    for a in (op.data, op.indices, op.indptr):
         a.flags.writeable = False
-    return Pattern(*out, op, template(sp.csr_matrix, *out))
+    return Pattern(op, template(sp.csr_matrix, indptr, keys % free.size))
 
 
 def assemble_system(mesh, labeling: DofLabeling, material: MaterialField,
@@ -284,7 +281,7 @@ def stiffness_batch_1d(x, boundary, material: MaterialField):
     for rows in groups.values():
         labeling = _labeling(mask[rows[0]])
         pattern = _scatter_pattern((x.shape[-1] - 1,), _free_bytes(labeling))
-        out.append((rows, labeling, pattern.indptr, pattern.indices,
+        out.append((rows, labeling, pattern.template.indptr, pattern.template.indices,
                     np.ascontiguousarray((pattern.op @ w[rows].T).T)))
     return out
 

@@ -88,7 +88,8 @@ def solve_spd(system) -> SolveReport:
         B = B.copy()
         B.sum_duplicates()
     pattern = getattr(system, "pattern", None)
-    if pattern is not None and B.indptr is pattern.indptr and B.indices is pattern.indices:
+    if (pattern is not None and B.indptr is pattern.template.indptr
+            and B.indices is pattern.template.indices):
         pattern.plan = pattern.plan or _plan(B.indptr, B.indices)
         kd, lower, pos, perm = pattern.plan
     else:

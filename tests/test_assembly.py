@@ -41,7 +41,8 @@ def _one_element(axes_nodes, coeff):
     weights = _stiffness_weights([np.array(a, dtype=float) for a in axes_nodes],
                                  MaterialField(default=coeff))
     K = sp.csr_matrix((pattern.op @ np.concatenate([w.ravel() for w in weights]),
-                       pattern.indices, pattern.indptr), shape=(n, n)).toarray()
+                       pattern.template.indices, pattern.template.indptr),
+                      shape=(n, n)).toarray()
     ccw = [0, 1, 3, 2][:n]
     return K[np.ix_(ccw, ccw)]
 
@@ -536,7 +537,7 @@ class TestScatterPattern:
         ev = evaluate_uniform(lshape(n_elements=8))
         free = np.asarray(ev.labeling.free, dtype=np.int64)
         pattern = _scatter_pattern((8, 8), free.tobytes())
-        indptr, indices, op = pattern.indptr, pattern.indices, pattern.op
+        indptr, indices, op = pattern.template.indptr, pattern.template.indices, pattern.op
         # the system carries the cached pattern and its arrays themselves
         assert ev.system.pattern is pattern
         assert ev.system.B.indptr is indptr and ev.system.B.indices is indices
@@ -562,7 +563,7 @@ class TestScatterPattern:
         assert second.pattern is pattern
         template = pattern.template
         for B in (first.B, second.B):
-            assert B.indptr is pattern.indptr and B.indices is pattern.indices
+            assert B.indptr is template.indptr and B.indices is template.indices
             assert B.has_canonical_format and B.shape == template.shape
             assert not np.shares_memory(B.data, template.data)
         assert not np.shares_memory(first.B.data, second.B.data)

@@ -19,7 +19,7 @@ def test_bench_self_test():
 def test_ab_inprocess_smoke():
     # one checkout against itself, as two packages in one process
     proc = subprocess.run([sys.executable, "scripts/ab_inprocess.py", str(ROOT), str(ROOT),
-                           "--case", "param-batch", "--blocks", "3", "--reps", "2"],
+                           "--case", "param-batch", "--blocks", "3"],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     ratios, summary = proc.stdout.strip().splitlines()
