@@ -13,7 +13,10 @@ benchmark's sizes:
   grid with batch 10, five epochs, set-up included;
 - adapt-arctan2d: one evaluate_with_gradient, arctan2d N=16 with
   50-point quadrature;
-- adapt-lshape: one evaluate_with_gradient, lshape N=128.
+- adapt-lshape: one evaluate_with_gradient, lshape N=128;
+- adapt-power1d: one evaluate_with_gradient, power1d N=256, the single
+  1D step that the acceptance suite's criterion 3 runs 80,000 times
+  (no benchmark workload times it).
 
 Logits are drawn from N(0, 0.1) with SEED, the same on both sides.
 After one warm-up block per side, block i runs the case CASES[case]
@@ -39,7 +42,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 #: case -> repetitions per block (a block of roughly 50-100 ms)
-CASES = {"param-batch": 100, "param-epoch": 1, "adapt-arctan2d": 100, "adapt-lshape": 4}
+CASES = {"param-batch": 100, "param-epoch": 1, "adapt-arctan2d": 100, "adapt-lshape": 4,
+         "adapt-power1d": 100}
 BOOTSTRAP = 2000
 SEED = 0
 
@@ -77,6 +81,8 @@ def make_case(case, rm):
         return lambda: pipeline.evaluate_batch(items, logits, scales)
     if case == "adapt-arctan2d":
         problem = problems.make_problem("arctan2d", n_elements=16, mode="quadrature", order=50)
+    elif case == "adapt-power1d":
+        problem = problems.make_problem("power1d", sigma=(0.7,), n_elements=256)
     else:
         problem = problems.make_problem("lshape", n_elements=128)
     theta = rng.normal(0.0, 0.1, problem.theta_size)

@@ -11,7 +11,8 @@ the program from its src/ with one BLAS thread:
   scales 0.1, 0.5 and 3;
 - evaluate_batch with gradients for the three 1D families;
 - evaluate_uniform (J and c) on lshape N=128, the largest system the
-  benchmark solves (12,033 DOFs);
+  benchmark solves (12,033 DOFs), and on power1d N=20001 and
+  twomaterial1d N=8000, the largest 1D systems the tests solve;
 - 5 train_nonparametric steps on arctan2d and on lshape;
 - a 2-epoch train_parametric on arctan1d (history and network weights).
 
@@ -88,6 +89,9 @@ for n in (8, 32):
 for family in ("arctan1d", "power1d", "twomaterial1d"):
     case(f"evaluate_batch {family} N=16", lambda: batch(family, 16, 7))
 case("evaluate_uniform lshape N=128", lambda: uniform(problems.lshape(n_elements=128)))
+case("evaluate_uniform power1d N=20001", lambda: uniform(problems.power1d(0.9, n_elements=20001)))
+case("evaluate_uniform twomaterial1d N=8000",
+     lambda: uniform(problems.twomaterial1d(10.0, n_elements=8000)))
 case("train_nonparametric arctan2d N=8", lambda: adapt(problems.arctan2d(n_elements=8, order=8)))
 case("train_nonparametric lshape N=16", lambda: adapt(problems.lshape(1.3, 0.6, n_elements=16)))
 case("train_parametric arctan1d N=8", parametric)

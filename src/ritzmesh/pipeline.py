@@ -141,16 +141,16 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
 def _solve_1d(boundary, x, material, rhs, live, out):
     """Solve row i (batch row live[i]) on nodes x[i] with loads rhs[i],
     recording its J, ell and c; returns c over all nodes.  The rows of
-    one free set go to one solve_splu_batch, bitwise one solve_splu per
-    row; the stiffness is symmetric, so its CSR arrays are its CSC arrays."""
+    one free set go to one solve_splu_batch (solve_spd sends it one row);
+    the stiffness is symmetric, so its CSR arrays are its CSC arrays."""
     c_full = np.zeros_like(x)
     for rows, labeling, indptr, indices, data in stiffness_batch_1d(x, boundary, material):
         ells = rhs[np.ix_(rows, labeling.free)]
-        for i, ell, (result, Bc) in zip(rows, ells, solve_splu_batch(indptr, indices, data, ells)):
+        for i, ell, result in zip(rows, ells, solve_splu_batch(indptr, indices, data, ells)):
             if isinstance(result, SolverError):
                 out.errors[live[i]] = result
                 continue
-            out.J[live[i]] = ritz_energy_of(Bc, ell, result.c)
+            out.J[live[i]] = ritz_energy_of(result.Bc, ell, result.c)
             out.ell[live[i]], out.c[live[i]] = ell, result.c
             c_full[i, labeling.free] = result.c
     return c_full

@@ -128,11 +128,9 @@ def twomaterial1d(sigma=10.0, n_elements=32):
 def arctan2d(alpha=10.0, s1=0.05, s2=0.05, n_elements=32, order=50, mode="quadrature"):
     """Tensor-product sigmoid fronts, Dirichlet on the left and bottom,
     manufactured Neumann fluxes on the right and top; loads by quadrature."""
-    if mode != "quadrature":
-        raise ConfigurationError("arctan2d loads are quadrature-only")
     load = ld.LoadSpec(
         "arctan2d", {"alpha": float(alpha), "s1": float(s1), "s2": float(s2)},
-        mode="quadrature", order=order,
+        mode=mode, order=order,
     )
     return ProblemSpec(
         family="arctan2d", dim=2, sigma=(float(alpha), float(s1), float(s2)),

@@ -11,8 +11,9 @@ system's pattern; a band of more than MAX_BAND_BYTES raises SolverError
 before it is allocated.  Tridiagonal (1D) systems keep splu: parametric
 arctan runs amplify a last-bit change of c into their recorded final
 errors, and its COLAMD order permutes even a tridiagonal matrix.  G 1D
-systems on one pattern take one splu of their block diagonal, bitwise
-one splu each, on matrices copied from templates cached per pattern.
+systems on one pattern (a single system is G = 1) take one splu of their
+block diagonal, bitwise one splu each, on matrices copied from templates
+cached per pattern; a row that the block cannot take gets its own splu.
 Each solve's normwise backward error ||B c - ell|| / (||B||_F ||c|| +
 ||ell||), ||B||_F over the stored entries, must be at most RESIDUAL_TOL
 (Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
@@ -49,7 +50,7 @@ class SolveReport:
     residual_norm: float
     iterations: int
     method: str
-    Bc: np.ndarray | None = None    # B c as a direct solve's check formed it
+    Bc: np.ndarray    # B c as the solve's check formed it (zeros for a zero load)
 
 
 def _plan(indptr, indices):
@@ -74,11 +75,12 @@ def _plan(indptr, indices):
 def solve_spd(system) -> SolveReport:
     """Solve B c = ell for an SPD system to normwise backward error 1e-10.
 
-    Banded Cholesky when B's band width kd exceeds 1, else ``splu``; the
-    report names the path ('banded-cholesky' or 'splu') and counts no
-    iterations.  Raises SolverError if the band would exceed
-    MAX_BAND_BYTES, B is not symmetric or not positive definite, or the
-    solve misses the contract.
+    Banded Cholesky when B's band width kd exceeds 1, else
+    solve_splu_batch with B as a block of one (B is symmetric, so its CSR
+    arrays are its CSC arrays); the report names the path
+    ('banded-cholesky' or 'splu') and counts no iterations.  Raises
+    SolverError if the band would exceed MAX_BAND_BYTES, B is not
+    symmetric or not positive definite, or the solve misses the contract.
     """
     B, ell = system.B, system.ell
     n = ell.size
@@ -104,11 +106,14 @@ def solve_spd(system) -> SolveReport:
         raise SolverError("stiffness matrix is not symmetric")
 
     if kd <= 1:
-        return solve_splu(B.tocsc(), ell)
+        [result] = solve_splu_batch(B.indptr, B.indices, B.data[None], ell[None])
+        if isinstance(result, SolverError):
+            raise result
+        return result
     ell_norm = _norm(ell)
     if ell_norm == 0.0:
         return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0,
-                           method="banded-cholesky")
+                           method="banded-cholesky", Bc=np.zeros(n))
 
     ab = np.zeros((kd + 1) * n)
     ab[pos] = B.data[lower]
@@ -129,30 +134,14 @@ def _banded_cholesky():
     return sla.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
-def solve_splu(A, ell) -> SolveReport:
-    """solve_spd's 'splu' path for a canonical CSC matrix A known to be
-    symmetric (an assembled 1D stiffness matrix), without its checks."""
-    _check_load(ell)
-    ell_norm = _norm(ell)
-    if ell_norm == 0.0:
-        return SolveReport(c=np.zeros(ell.size), residual_norm=0.0, iterations=0,
-                           method="splu")
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise SolverError(f"direct factorization failed: {exc}") from exc
-    c = lu.solve(ell)
-    return _report(A.data, c, A @ c, ell, ell_norm, "splu")
-
-
 def solve_splu_batch(indptr, indices, data, ells):
-    """solve_splu(A_g, ells[g]) for the G matrices A_g on one symmetric
+    """Solve A_g c = ells[g] for the G matrices A_g on one symmetric
     canonical int32 CSC pattern (indptr, indices) with values data[g]
-    and the rows of (G, n) loads ells, bitwise, from one ``splu`` of their
-    block diagonal.  Returns per matrix (SolveReport, A_g c), or (the
-    SolverError that solve_splu raises, None).  Matrices with zero or
-    non-finite loads, and all of them if the block factor fails or pivots
-    off the diagonal, go through solve_splu one at a time."""
+    and the rows of (G, n) loads ells, bitwise one ``splu`` each, from
+    one ``splu`` of their block diagonal.  Returns per matrix its
+    SolveReport or SolverError.  Matrices with zero or non-finite loads,
+    and all of them if the block factor fails or pivots off the
+    diagonal, go through _solve_one one at a time."""
     ells = np.asarray(ells, dtype=float)
     single, *block = _block_pattern(np.asarray(indptr, dtype=np.int32).tobytes(),
                                     np.asarray(indices, dtype=np.int32).tobytes(), len(data))
@@ -164,15 +153,24 @@ def solve_splu_batch(indptr, indices, data, ells):
 
 
 def _solve_one(A, ell):
+    """A c = ell for one canonical CSC matrix A known to be symmetric, from
+    a fresh ``splu``: its SolveReport, or its SolverError."""
     try:
-        report = solve_splu(A, ell)
+        _check_load(ell)
+        ell_norm = _norm(ell)
+        if ell_norm == 0.0:
+            return SolveReport(c=np.zeros(ell.size), residual_norm=0.0, iterations=0,
+                               method="splu", Bc=np.zeros(ell.size))
+        c = spla.splu(A).solve(ell)
+        return _report(A.data, c, A @ c, ell, ell_norm, "splu")
+    except RuntimeError as exc:
+        return SolverError(f"direct factorization failed: {exc}")
     except SolverError as exc:
-        return exc, None
-    return report, A @ report.c
+        return exc
 
 
 def _block_solve(pattern, data, ells, ell_norms, blocked):
-    """Per blocked row g, (SolveReport, A_g c) or (SolverError, None), from
+    """Per blocked row g, its SolveReport or SolverError, from
     one natural-order ``splu`` of the blocks on _block_pattern's block part;
     None if it fails or pivots off the diagonal (single factors may differ)."""
     block, permuted, take, gather, scatter = pattern
@@ -193,10 +191,10 @@ def _block_solve(pattern, data, ells, ell_norms, blocked):
     for g in np.flatnonzero(blocked):
         try:
             _check_residual(float(residual[g]), B_norm[g], c_norm[g], ell_norms[g])
-            out[g] = (SolveReport(c=c[g], residual_norm=float(residual[g]), iterations=0,
-                                  method="splu", Bc=Bc[g]), Bc[g])
+            out[g] = SolveReport(c=c[g], residual_norm=float(residual[g]), iterations=0,
+                                 method="splu", Bc=Bc[g])
         except SolverError as exc:
-            out[g] = (exc, None)
+            out[g] = exc
     return out
 
 

@@ -8,6 +8,7 @@ from ritzmesh.errors import ConfigurationError
 from ritzmesh.loads import exact_energy, lshape_reference_energy, reference_ritz
 from ritzmesh.problems import (
     arctan1d,
+    arctan2d,
     lshape,
     make_problem,
     power1d,
@@ -48,6 +49,10 @@ class TestRegistry:
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
             make_problem("heat_equation")
+
+    def test_arctan2d_is_quadrature_only(self):
+        with pytest.raises(ConfigurationError, match="^arctan2d loads are quadrature-only$"):
+            arctan2d(mode="exact")
 
 
 class TestProblemSpec:

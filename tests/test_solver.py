@@ -20,7 +20,7 @@ from ritzmesh.errors import SolverError
 from ritzmesh.loads import reference_ritz
 from ritzmesh.pipeline import evaluate, evaluate_uniform
 from ritzmesh.problems import arctan1d, arctan2d, lshape, power1d, twomaterial1d
-from ritzmesh.solver import RESIDUAL_TOL, solve_splu, solve_splu_batch, solve_spd
+from ritzmesh.solver import RESIDUAL_TOL, solve_splu_batch, solve_spd
 from ritzmesh.training import train_nonparametric
 
 
@@ -95,6 +95,13 @@ class TestSolveSpd:
     def test_zero_load(self):
         rep = solve_spd(_system(np.eye(3), np.zeros(3)))
         np.testing.assert_array_equal(rep.c, 0.0)
+        np.testing.assert_array_equal(rep.Bc, 0.0)
+
+    def test_banded_zero_load(self):
+        rep = solve_spd(_system(2 * np.eye(3) + np.eye(3, k=2) + np.eye(3, k=-2), np.zeros(3)))
+        assert rep.method == "banded-cholesky"
+        np.testing.assert_array_equal(rep.c, 0.0)
+        np.testing.assert_array_equal(rep.Bc, 0.0)
 
 
 BENCH_1D = [
@@ -235,10 +242,26 @@ class TestSolvePaths:
         assert rep.method == "splu"
         np.testing.assert_array_equal(rep.c, _splu_reference(system))
 
+    def test_1d_solve_is_a_block_of_one(self, monkeypatch):
+        # once a pattern's COLAMD order is cached, a single 1D solve is one
+        # natural-order splu of its permuted block, bitwise a fresh splu
+        problem = power1d(0.7, n_elements=32)
+        rng = np.random.default_rng(6)
+        system = evaluate(problem, rng.normal(0, 0.3, problem.theta_size)).system
+        calls = []
+        real = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or real(*a, **k))
+        rep = solve_spd(system)
+        assert calls == [{"permc_spec": "NATURAL"}]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(rep.c, _splu_reference(system))
+        np.testing.assert_array_equal(rep.Bc, _csc(system.B) @ rep.c)
+
     def test_zero_load_reports_selected_path(self):
         rep = solve_spd(_system(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(9, 9)),
                                 np.zeros(9)))
         assert rep.method == "splu" and rep.iterations == 0
+        np.testing.assert_array_equal(rep.Bc, 0.0)
 
 
 class TestRefinement:
@@ -273,12 +296,14 @@ class TestRefinement:
         ell = np.linspace(1.0, 2.0, 9)
 
         class Inexact:
-            def __init__(self, A):
+            def __init__(self, A, permc_spec=None):
                 self.A = A.toarray()
+                self.perm_r = self.perm_c = np.arange(A.shape[0])
 
             def solve(self, b):
                 return (1.0 - error) * np.linalg.solve(self.A, b)
 
+        solve_spd(_system(B, ell))      # caches the pattern's COLAMD order from the real splu
         monkeypatch.setattr(spla, "splu", Inexact)
         with pytest.raises(SolverError, match="^residual"):
             solve_spd(_system(B, ell))
@@ -419,23 +444,23 @@ def _csc(B):
 
 def _assert_batch_is_single_solves(systems):
     """solve_splu_batch on the systems' shared pattern gives, row by row,
-    solve_splu's report or error and ritz_energy's J, bitwise."""
+    the reference path _solve_one's report or error and ritz_energy's J,
+    bitwise."""
     As = [_csc(s.B) for s in systems]
     data = np.array([A.data for A in As])
     ells = [s.ell.copy() for s in systems]
     batch = solve_splu_batch(As[0].indptr, As[0].indices, data, ells)
     assert len(batch) == len(systems)
-    for A, ell, (result, Bc) in zip(As, ells, batch):
-        try:
-            single = solve_splu(A, ell)
-        except SolverError as exc:
-            assert isinstance(result, SolverError) and str(result) == str(exc)
-            assert Bc is None
+    for A, ell, result in zip(As, ells, batch):
+        single = solver._solve_one(A, ell)
+        if isinstance(single, SolverError):
+            # an error is the whole result: it carries no c and no B c
+            assert isinstance(result, SolverError) and str(result) == str(single)
             continue
         np.testing.assert_array_equal(result.c, single.c)
         assert (result.residual_norm, result.iterations, result.method) == (
             single.residual_norm, single.iterations, single.method)
-        J = ritz_energy_of(Bc, ell, result.c)
+        J = ritz_energy_of(result.Bc, ell, result.c)
         assert J == ritz_energy(SparseSystem(B=A, ell=ell, labeling=None), single.c)
     return batch
 
@@ -500,8 +525,8 @@ class TestSolveBatch:
         monkeypatch.setattr(spla, "splu", lambda *a, **k: calls.append(k) or real(*a, **k))
         batch = _assert_batch_is_single_solves(systems)
         assert calls[0] == {"permc_spec": "NATURAL"}
-        assert batch[1][0].iterations == 0
-        np.testing.assert_array_equal(batch[1][0].c, _splu_reference(systems[1]))
+        assert batch[1].iterations == 0
+        np.testing.assert_array_equal(batch[1].c, _splu_reference(systems[1]))
 
     @pytest.mark.parametrize("case", ["singular", "off-diagonal-pivot"])
     def test_failed_block_goes_row_by_row(self, monkeypatch, case):
@@ -525,9 +550,9 @@ class TestSolveBatch:
         # one block factor, then one splu per row in the batch and in the oracle
         assert calls[0] == {"permc_spec": "NATURAL"} and len(calls) == 1 + 2 * len(systems)
         if case == "singular":
-            assert isinstance(batch[1][0], SolverError)
-            assert "factorization failed" in str(batch[1][0])
-        assert all(not isinstance(result, SolverError) for result, _ in batch[::2])
+            assert isinstance(batch[1], SolverError)
+            assert "factorization failed" in str(batch[1])
+        assert all(not isinstance(result, SolverError) for result in batch[::2])
 
 
     def test_second_batch_leaves_the_templates(self):
@@ -551,7 +576,7 @@ class TestSolveBatch:
         hits = solver._block_pattern.cache_info().hits
         again = _assert_batch_is_single_solves(second)
         assert solver._block_pattern.cache_info().hits == hits + 1
-        assert not np.array_equal(batch[0][0].c, again[0][0].c)
+        assert not np.array_equal(batch[0].c, again[0].c)
         for template in templates:
             assert not template.data.any() and not template.data.flags.writeable
 
