@@ -14,7 +14,10 @@ the program from its src/ with one BLAS thread:
   benchmark solves (12,033 DOFs), and on power1d N=20001 and
   twomaterial1d N=8000, the largest 1D systems the tests solve;
 - 5 train_nonparametric steps on arctan2d and on lshape;
-- a 2-epoch train_parametric on arctan1d (history and network weights).
+- a 2-epoch train_parametric on arctan1d (history and network weights);
+- zero loads: solve_spd on the uniform power1d and twomaterial1d (splu)
+  and lshape (banded Cholesky) systems, and solve_splu_batch on three
+  arctan1d systems whose middle load is zero (c, B c and residual_norm).
 
 A case that raises records its error text instead.  Per case the script
 prints "same", or the first value that differs as float.hex on both
@@ -31,9 +34,10 @@ import sys
 from pathlib import Path
 
 MATRIX = r'''
+import dataclasses
 import json
 import numpy as np
-from ritzmesh import pipeline, problems, sampling, training
+from ritzmesh import pipeline, problems, sampling, solver, training
 
 def hexes(*arrays):
     return [float(v).hex() for a in arrays for v in np.ravel(np.asarray(a, dtype=float))]
@@ -72,6 +76,22 @@ def parametric():
     run = training.train_parametric("arctan1d", grid, 8, epochs=2, batch=5, monitor_every=3)
     return [row for row in run.history.rows] + list(run.params.arrays())
 
+def reports(*results):
+    return [a for r in results for a in (r.c, r.Bc, r.residual_norm)]
+
+def zero_load(problem):
+    system = pipeline.evaluate_uniform(problem).system
+    return reports(solver.solve_spd(dataclasses.replace(system, ell=np.zeros_like(system.ell))))
+
+def zero_row_in_block():
+    systems = [pipeline.evaluate_uniform(problems.arctan1d(alpha, 0.5, n_elements=16)).system
+               for alpha in (5.0, 20.0, 50.0)]
+    A = systems[0].B.tocsc()
+    ells = np.array([s.ell for s in systems])
+    ells[1] = 0.0
+    data = np.array([s.B.tocsc().data for s in systems])
+    return reports(*solver.solve_splu_batch(A.indptr, A.indices, data, ells))
+
 out = {}
 makers = {"arctan1d": (8, 32), "power1d": (8, 32), "twomaterial1d": (8, 32),
           "arctan2d": (6, 16), "lshape": (8, 32)}
@@ -95,6 +115,10 @@ case("evaluate_uniform twomaterial1d N=8000",
 case("train_nonparametric arctan2d N=8", lambda: adapt(problems.arctan2d(n_elements=8, order=8)))
 case("train_nonparametric lshape N=16", lambda: adapt(problems.lshape(1.3, 0.6, n_elements=16)))
 case("train_parametric arctan1d N=8", parametric)
+for problem in (problems.power1d(0.9, n_elements=16), problems.twomaterial1d(10.0, n_elements=16),
+                problems.lshape(n_elements=16)):
+    case(f"solve_spd zero load {problem.family} N=16", lambda: zero_load(problem))
+case("solve_splu_batch zero row in a block of 3", zero_row_in_block)
 print(json.dumps(out))
 '''
 

@@ -46,18 +46,14 @@ _AY = np.array([[2, 1, -1, -2], [1, 2, -2, -1], [-1, -2, 2, 1], [-2, -1, 1, 2]])
 
 @dataclass(frozen=True)
 class DofLabeling:
-    """Partition of node indices into free DOFs and Dirichlet nodes.
+    """The free DOFs, increasing, among n_nodes node indices; the other
+    nodes are Dirichlet.
 
     Dirichlet data are zero: the assembled load has no lifting term.
     """
 
     free: np.ndarray
-    dirichlet: np.ndarray
     n_nodes: int
-
-    def __post_init__(self):
-        if self.free.size + self.dirichlet.size != self.n_nodes:
-            raise ValueError("free and dirichlet sets must partition the nodes")
 
     @property
     def n_free(self):
@@ -174,8 +170,7 @@ def _dirichlet_mask(coords, spec):
 
 
 def _labeling(mask):
-    idx = np.arange(mask.size)
-    return DofLabeling(free=idx[~mask], dirichlet=idx[mask], n_nodes=mask.size)
+    return DofLabeling(free=np.flatnonzero(~mask), n_nodes=mask.size)
 
 
 def _check_material_resolved(axes_nodes, material: MaterialField):

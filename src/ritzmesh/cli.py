@@ -211,6 +211,12 @@ def cmd_report(cfg, out, seed):
     if not isinstance(checkpoint, str):
         raise ConfigurationError(f"report needs a 'checkpoint' path, got {checkpoint!r}")
     params, _, epoch = training.load_checkpoint(checkpoint)
+    shape = (params.W1.shape[1], params.W3.shape[0])
+    if shape != (len(grid.axes), problem.theta_size):
+        raise ConfigurationError(
+            f"checkpoint {checkpoint} maps {shape[0]} parameters to {shape[1]} logits; "
+            f"{problem.family} N={problem.n_elements} needs {len(grid.axes)} to "
+            f"{problem.theta_size}")
     run = training.ParametricRun(
         params=params, history=training.History(columns=()), grid=grid,
         family=problem.family, n_elements=problem.n_elements, epochs_done=epoch,

@@ -60,14 +60,13 @@ class ConstructionRecord:
     """How a Mesh1D was built, for gradient pullback.
 
     order:      argsort permutation; sorted_nodes = unsorted[order]
-    n_adaptive: number of logits n (chain nodes are unsorted[0..n])
-    adaptive:   per sorted node, True if it came from the softmax chain
+    n_adaptive: number of logits n (chain nodes are unsorted[0..n], so
+                sorted node i is a chain node iff order[i] <= n)
     delta:      the partition-of-unity vector used
     """
 
     order: np.ndarray
     n_adaptive: int
-    adaptive: np.ndarray
     delta: np.ndarray
 
 
@@ -106,7 +105,7 @@ class TensorMesh2D:
 
     mesh_x: Mesh1D
     mesh_y: Mesh1D
-    record: ConstructionRecord | None = None    # rows: the axes' records
+    record: ConstructionRecord | None = None    # one row per axis, x first
 
     @property
     def axes(self):
@@ -130,11 +129,13 @@ def softmax_partition(theta):
 
 
 def mesh_of_rows(nodes, record):
-    """The Mesh1D or TensorMesh2D of the rows of softmax_nodes's output."""
-    axes = [Mesh1D(row, ConstructionRecord(order, record.n_adaptive, adaptive, delta))
-            for row, order, adaptive, delta in
-            zip(nodes, record.order, record.adaptive, record.delta)]
-    return axes[0] if len(axes) == 1 else TensorMesh2D(*axes, record=record)
+    """The Mesh1D or TensorMesh2D of the rows of softmax_nodes's output;
+    a Mesh1D keeps its row of the record, a TensorMesh2D the whole record
+    and its axes none."""
+    if len(nodes) == 1:
+        return Mesh1D(nodes[0], ConstructionRecord(record.order[0], record.n_adaptive,
+                                                   record.delta[0]))
+    return TensorMesh2D(*map(Mesh1D, nodes), record=record)
 
 
 def softmax_nodes(theta, params: MeshParams1D):
@@ -158,8 +159,7 @@ def softmax_nodes(theta, params: MeshParams1D):
     unsorted[..., n + 1:] = params.fixed_interior
     order = np.argsort(unsorted, axis=-1, kind="stable")
     nodes = np.sort(unsorted, axis=-1, kind="stable")    # unsorted[order]
-    return nodes, ConstructionRecord(order=order, n_adaptive=n, adaptive=order <= n,
-                                     delta=delta)
+    return nodes, ConstructionRecord(order=order, n_adaptive=n, delta=delta)
 
 
 def mesh_pullback(grad_nodes, record: ConstructionRecord, params: MeshParams1D):

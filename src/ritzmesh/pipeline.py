@@ -83,13 +83,12 @@ def finite_difference_gradient(problem, theta, step=1e-6):
 class BatchEvaluation:
     """Per sample: J (nan if skipped), the scaled logits gradient (a nan
     row if skipped; grad is None without scales), the error that skipped
-    it or None, the free-node load ell and coefficients c (None if
-    skipped); nodes holds a 1D batch's (K, N+1) mesh nodes."""
+    it or None, and the free-node coefficients c (None if skipped); nodes
+    holds a 1D batch's (K, N+1) mesh nodes."""
 
     J: np.ndarray
     grad: np.ndarray | None
     errors: list
-    ell: list
     c: list
     nodes: np.ndarray | None = None
 
@@ -103,11 +102,14 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
     their uniform meshes if logits is None.  scales are the per-sample
     gradient factors (1/|J_uniform_ref| for the balanced loss); without
     them no gradient is computed.  A sample whose mesh degenerates or
-    whose solve fails is skipped with its error, not fatal."""
+    whose solve fails is skipped with its error, not fatal; logits of
+    any other shape raise ValueError."""
     K, first = len(problems), problems[0]
     if scales is not None and logits is None:
         raise ValueError("a logits gradient needs logits")
-    out = BatchEvaluation(J=np.full(K, np.nan), errors=[None] * K, ell=[None] * K, c=[None] * K,
+    if logits is not None and np.shape(logits) != (K, first.theta_size):
+        raise ValueError(f"theta has shape {np.shape(logits)}, expected ({K}, {first.theta_size})")
+    out = BatchEvaluation(J=np.full(K, np.nan), errors=[None] * K, c=[None] * K,
                           grad=None if scales is None else np.full((K, first.theta_size), np.nan))
     if first.dim == 2:
         _evaluate_each(problems, logits, scales, out)
@@ -140,7 +142,7 @@ def evaluate_batch(problems, logits=None, scales=None) -> BatchEvaluation:
 
 def _solve_1d(boundary, x, material, rhs, live, out):
     """Solve row i (batch row live[i]) on nodes x[i] with loads rhs[i],
-    recording its J, ell and c; returns c over all nodes.  The rows of
+    recording its J and c; returns c over all nodes.  The rows of
     one free set go to one solve_splu_batch (solve_spd sends it one row);
     the stiffness is symmetric, so its CSR arrays are its CSC arrays."""
     c_full = np.zeros_like(x)
@@ -151,7 +153,7 @@ def _solve_1d(boundary, x, material, rhs, live, out):
                 out.errors[live[i]] = result
                 continue
             out.J[live[i]] = ritz_energy_of(result.Bc, ell, result.c)
-            out.ell[live[i]], out.c[live[i]] = ell, result.c
+            out.c[live[i]] = result.c
             c_full[i, labeling.free] = result.c
     return c_full
 
@@ -164,6 +166,6 @@ def _evaluate_each(problems, logits, scales, out):
         except (DegenerateMeshError, SolverError) as exc:
             out.errors[k] = exc
             continue
-        out.J[k], out.ell[k], out.c[k] = ev.J, ev.system.ell, ev.c
+        out.J[k], out.c[k] = ev.J, ev.c
         if scales is not None:
             out.grad[k] = ritz_gradient(problem, ev.mesh, ev.system, ev.c, scale=scales[k])

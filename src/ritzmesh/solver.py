@@ -14,11 +14,12 @@ errors, and its COLAMD order permutes even a tridiagonal matrix.  G 1D
 systems on one pattern (a single system is G = 1) take one splu of their
 block diagonal, bitwise one splu each, on matrices copied from templates
 cached per pattern; a row that the block cannot take gets its own splu.
-Each solve's normwise backward error ||B c - ell|| / (||B||_F ||c|| +
-||ell||), ||B||_F over the stored entries, must be at most RESIDUAL_TOL
-(Rigal & Gaches 1967; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 7), checked once per system.  These factorizations are
-backward stable on SPD systems, so nothing is refined; ||B c - ell|| <=
+A zero load is solved like any other.  Each solve's normwise backward
+error ||B c - ell|| / (||B||_F ||c|| + ||ell||), ||B||_F over the stored
+entries, must be at most RESIDUAL_TOL (Rigal & Gaches 1967; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 7), checked once per
+system by _reports on every path.  These factorizations are backward
+stable on SPD systems, so nothing is refined; ||B c - ell|| <=
 RESIDUAL_TOL ||ell||, which even the rounded exact solution misses on
 graded meshes, is not asked.
 """
@@ -50,7 +51,7 @@ class SolveReport:
     residual_norm: float
     iterations: int
     method: str
-    Bc: np.ndarray    # B c as the solve's check formed it (zeros for a zero load)
+    Bc: np.ndarray    # B c as the backward-error check formed it
 
 
 def _plan(indptr, indices):
@@ -79,8 +80,8 @@ def solve_spd(system) -> SolveReport:
     solve_splu_batch with B as a block of one (B is symmetric, so its CSR
     arrays are its CSC arrays); the report names the path
     ('banded-cholesky' or 'splu') and counts no iterations.  Raises
-    SolverError if the band would exceed MAX_BAND_BYTES, B is not
-    symmetric or not positive definite, or the solve misses the contract.
+    SolverError, a zero ell included, if the band exceeds MAX_BAND_BYTES,
+    B is not symmetric or not positive definite, or c misses the contract.
     """
     B, ell = system.B, system.ell
     n = ell.size
@@ -107,25 +108,21 @@ def solve_spd(system) -> SolveReport:
 
     if kd <= 1:
         [result] = solve_splu_batch(B.indptr, B.indices, B.data[None], ell[None])
-        if isinstance(result, SolverError):
-            raise result
-        return result
-    ell_norm = _norm(ell)
-    if ell_norm == 0.0:
-        return SolveReport(c=np.zeros(n), residual_norm=0.0, iterations=0,
-                           method="banded-cholesky", Bc=np.zeros(n))
-
-    ab = np.zeros((kd + 1) * n)
-    ab[pos] = B.data[lower]
-    ab = ab.reshape((kd + 1, n), order="F")
-    pbtrf, pbtrs = _banded_cholesky()
-    with _one_blas_thread():
-        factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
-        if info != 0:
-            raise SolverError(f"banded Cholesky failed: minor {info} is not positive definite")
-        # a wrong solve from dpbtrs misses the backward-error check
-        c = pbtrs(factor, ell, lower=1)[0]
-        return _report(B.data, c, B @ c, ell, ell_norm, "banded-cholesky")
+    else:
+        ab = np.zeros((kd + 1) * n)
+        ab[pos] = B.data[lower]
+        ab = ab.reshape((kd + 1, n), order="F")
+        pbtrf, pbtrs = _banded_cholesky()
+        with _one_blas_thread():
+            factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise SolverError(f"banded Cholesky failed: minor {info} is not positive definite")
+            # a wrong solve from dpbtrs misses the backward-error check
+            c = pbtrs(factor, ell, lower=1)[0]
+            [result] = _reports(B.data[None], c[None], (B @ c)[None], ell[None], "banded-cholesky")
+    if isinstance(result, SolverError):
+        raise result
+    return result
 
 
 @lru_cache(maxsize=1)
@@ -139,17 +136,17 @@ def solve_splu_batch(indptr, indices, data, ells):
     canonical int32 CSC pattern (indptr, indices) with values data[g]
     and the rows of (G, n) loads ells, bitwise one ``splu`` each, from
     one ``splu`` of their block diagonal.  Returns per matrix its
-    SolveReport or SolverError.  Matrices with zero or non-finite loads,
-    and all of them if the block factor fails or pivots off the
-    diagonal, go through _solve_one one at a time."""
+    SolveReport or SolverError.  A matrix with a non-finite load, and all
+    of them if the block factor fails or pivots off the diagonal, goes
+    through _solve_one."""
     ells = np.asarray(ells, dtype=float)
     single, *block = _block_pattern(np.asarray(indptr, dtype=np.int32).tobytes(),
                                     np.asarray(indices, dtype=np.int32).tobytes(), len(data))
-    ell_norms = _norm(ells)
-    blocked = (ell_norms > 0.0) & (ell_norms < np.inf)
-    solved = _block_solve(block, data, ells, ell_norms, blocked) if blocked.any() else None
-    return [result or _solve_one(with_values(single, values), ell)
-            for result, values, ell in zip(solved or [None] * len(ells), data, ells)]
+    finite = np.isfinite(ells).all(axis=1)
+    rhs = np.where(finite[:, None], ells, 0.0)
+    solved = _block_solve(block, data, rhs) if finite.any() else None
+    return [solved[g] if solved and finite[g] else _solve_one(with_values(single, value), ell)
+            for g, (value, ell) in enumerate(zip(data, ells))]
 
 
 def _solve_one(A, ell):
@@ -157,22 +154,18 @@ def _solve_one(A, ell):
     a fresh ``splu``: its SolveReport, or its SolverError."""
     try:
         _check_load(ell)
-        ell_norm = _norm(ell)
-        if ell_norm == 0.0:
-            return SolveReport(c=np.zeros(ell.size), residual_norm=0.0, iterations=0,
-                               method="splu", Bc=np.zeros(ell.size))
         c = spla.splu(A).solve(ell)
-        return _report(A.data, c, A @ c, ell, ell_norm, "splu")
     except RuntimeError as exc:
         return SolverError(f"direct factorization failed: {exc}")
     except SolverError as exc:
         return exc
+    return _reports(A.data[None], c[None], (A @ c)[None], ell[None], "splu")[0]
 
 
-def _block_solve(pattern, data, ells, ell_norms, blocked):
-    """Per blocked row g, its SolveReport or SolverError, from
-    one natural-order ``splu`` of the blocks on _block_pattern's block part;
-    None if it fails or pivots off the diagonal (single factors may differ)."""
+def _block_solve(pattern, data, ells):
+    """_reports of the rows of (G, n) loads ells, from one natural-order
+    ``splu`` of the blocks on _block_pattern's block part; None if it
+    fails or pivots off the diagonal (single factors may differ)."""
     block, permuted, take, gather, scatter = pattern
     values = data.ravel()
     try:
@@ -183,19 +176,9 @@ def _block_solve(pattern, data, ells, ell_norms, blocked):
     natural = np.arange(gather.size)
     if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
         return None
-    rhs = np.where(blocked[:, None], ells, 0.0)
-    c = lu.solve(rhs.ravel()[gather])[scatter]
+    c = lu.solve(ells.ravel()[gather])[scatter]
     c, Bc = c.reshape(ells.shape), (with_values(block, values) @ c).reshape(ells.shape)
-    residual, B_norm, c_norm = (_norm(a) for a in (Bc - rhs, values.reshape(len(c), -1), c))
-    out = [None] * len(ells)
-    for g in np.flatnonzero(blocked):
-        try:
-            _check_residual(float(residual[g]), B_norm[g], c_norm[g], ell_norms[g])
-            out[g] = SolveReport(c=c[g], residual_norm=float(residual[g]), iterations=0,
-                                 method="splu", Bc=Bc[g])
-        except SolverError as exc:
-            out[g] = exc
-    return out
+    return _reports(values.reshape(len(c), -1), c, Bc, ells, "splu")
 
 
 def template(kind, indptr, indices):
@@ -253,12 +236,20 @@ def _block_pattern(indptr_bytes, indices_bytes, G):
             blocks(np.append(0, np.cumsum(np.bincount(cols, minlength=n))), rows[take]), *orders)
 
 
-def _report(values, c, Bc, ell, ell_norm, method) -> SolveReport:
-    """The report of c for B c = ell, B of stored values `values` and
-    B c = Bc, if c meets the backward-error contract."""
-    residual = float(_norm(Bc - ell))
-    _check_residual(residual, _norm(values), _norm(c), ell_norm)
-    return SolveReport(c=c, residual_norm=residual, iterations=0, method=method, Bc=Bc)
+def _reports(values, c, Bc, ells, method):
+    """Per row g of (G, .) arrays, the report of c[g] for B_g c = ells[g],
+    B_g of stored values values[g] and B_g c[g] = Bc[g], if c[g] meets
+    the backward-error contract, else its SolverError."""
+    residual, B_norm, c_norm, ell_norm = (_norm(a) for a in (Bc - ells, values, c, ells))
+    out = []
+    for g in range(len(c)):
+        try:
+            _check_residual(float(residual[g]), B_norm[g], c_norm[g], ell_norm[g])
+            out.append(SolveReport(c=c[g], residual_norm=float(residual[g]), iterations=0,
+                                   method=method, Bc=Bc[g]))
+        except SolverError as exc:
+            out.append(exc)
+    return out
 
 
 def _thread_setter(libs):

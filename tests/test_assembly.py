@@ -128,13 +128,13 @@ class TestLabeling:
     def test_1d_left(self):
         mesh = Mesh1D.from_nodes([0.0, 0.5, 1.0])
         lab = label_dirichlet(mesh, "left")
-        np.testing.assert_array_equal(lab.dirichlet, [0])
+        np.testing.assert_array_equal(np.setdiff1d(np.arange(lab.n_nodes), lab.free), [0])
         np.testing.assert_array_equal(lab.free, [1, 2])
 
     def test_1d_both(self):
         mesh = Mesh1D.from_nodes([0.0, 0.3, 0.8, 1.0])
         lab = label_dirichlet(mesh, "both")
-        np.testing.assert_array_equal(lab.dirichlet, [0, 3])
+        np.testing.assert_array_equal(np.setdiff1d(np.arange(lab.n_nodes), lab.free), [0, 3])
 
     def test_2d_all_boundary(self):
         axis = Mesh1D.from_nodes([0.0, 0.5, 1.0])
@@ -269,8 +269,9 @@ class TestGradientContraction:
         (grad,) = assembly_gradient_contraction(
             ev.mesh, ev.system, problem.material, ev.c)
         # perturbing a fixed interface node changes the problem, not the mesh
+        record = ev.mesh.record
         movable = [i for i in range(1, ev.mesh.nodes.size - 1)
-                   if ev.mesh.record.adaptive[i]]
+                   if record.order[i] <= record.n_adaptive]
         fd = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable)
         for i, v in fd.items():
             assert abs(grad[i] - v) <= 1e-6 * max(1.0, abs(v)), i
@@ -284,10 +285,9 @@ class TestGradientContraction:
             ev = evaluate(problem, theta)
             gx, gy = assembly_gradient_contraction(
                 ev.mesh, ev.system, problem.material, ev.c)
-            movable_x = [i for i in range(1, ev.mesh.mesh_x.nodes.size - 1)
-                         if ev.mesh.mesh_x.record.adaptive[i]]
-            movable_y = [i for i in range(1, ev.mesh.mesh_y.nodes.size - 1)
-                         if ev.mesh.mesh_y.record.adaptive[i]]
+            order, n = ev.mesh.record.order, ev.mesh.record.n_adaptive
+            movable_x = [i for i in range(1, ev.mesh.mesh_x.nodes.size - 1) if order[0, i] <= n]
+            movable_y = [i for i in range(1, ev.mesh.mesh_y.nodes.size - 1) if order[1, i] <= n]
             fdx = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable_x, axis=0)
             fdy = self._frozen_fd(problem, ev.mesh, ev.labeling, ev.c, movable_y, axis=1)
             for i, v in fdx.items():

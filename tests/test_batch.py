@@ -31,7 +31,6 @@ def _assert_rows_match(batch, probs, logits, scales):
         ev, grad = pipeline.evaluate_with_gradient(problem, logits[k], scale=scales[k])
         assert batch.errors[k] is None
         np.testing.assert_array_equal(batch.nodes[k], ev.mesh.nodes)
-        np.testing.assert_array_equal(batch.ell[k], ev.system.ell)
         np.testing.assert_array_equal(batch.c[k], ev.c)
         assert batch.J[k] == ev.J
         np.testing.assert_array_equal(batch.grad[k], grad)
@@ -68,7 +67,7 @@ def test_degenerate_row_is_masked_and_others_unchanged():
     assert str(batch.errors[2]) == str(single.value)
     np.testing.assert_array_equal(batch.kept, [True, True, False, True])
     assert np.isnan(batch.J[2]) and np.all(np.isnan(batch.grad[2]))
-    assert batch.c[2] is None and batch.ell[2] is None
+    assert batch.c[2] is None
     for i in (0, 1, 3):
         ev, grad = pipeline.evaluate_with_gradient(probs[i], logits[i])
         assert batch.J[i] == ev.J
@@ -123,6 +122,14 @@ def test_2d_batch_loops_the_single_problem_chain(problem):
 def test_gradient_needs_logits():
     with pytest.raises(ValueError):
         pipeline.evaluate_batch([problems.arctan1d(n_elements=4)], None, [1.0])
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (3, 16), (16,)])
+@pytest.mark.parametrize("scales", [None, [1.0, 1.0]])
+def test_logits_of_another_shape_raise(shape, scales):
+    # (2, 8) would build 8-element meshes for a 16-element problem
+    with pytest.raises(ValueError, match=r"expected \(2, 16\)"):
+        pipeline.evaluate_batch([problems.arctan1d(n_elements=16)] * 2, np.zeros(shape), scales)
 
 
 def test_1d_beyond_direct_limit_factors():

@@ -168,6 +168,19 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "c.json", {"N": 4})
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("report", [{"problem": "arctan1d", "N": 16},
+                                        {"problem": "power1d", "N": 8}],
+                             ids=["logit-count", "parameter-count"])
+    def test_report_checkpoint_of_another_config(self, tmp_path, capsys, report):
+        # the checkpoint maps arctan1d's 2 parameters to N=8 logits
+        cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d", "N": 8,
+                                                "grid": {"counts": [3, 3]}, "epochs": 1})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+        cfg = write_config(tmp_path, "r.json",
+                           {**report, "checkpoint": str(tmp_path / "run" / "checkpoint.npz")})
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "checkpoint" in capsys.readouterr().err
+
     def test_unknown_preset(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"problem": "arctan1d"})
         assert main(["solve", "--config", cfg, "--preset", "warp",

@@ -27,7 +27,7 @@ from ritzmesh.training import train_nonparametric
 def _system(B, ell):
     ell = np.asarray(ell, dtype=float)
     n = ell.size
-    lab = DofLabeling(free=np.arange(n), dirichlet=np.empty(0, dtype=int), n_nodes=n)
+    lab = DofLabeling(free=np.arange(n), n_nodes=n)
     return SparseSystem(B=sp.csr_matrix(B), ell=ell, labeling=lab)
 
 
@@ -96,12 +96,21 @@ class TestSolveSpd:
         rep = solve_spd(_system(np.eye(3), np.zeros(3)))
         np.testing.assert_array_equal(rep.c, 0.0)
         np.testing.assert_array_equal(rep.Bc, 0.0)
+        assert not np.signbit(rep.c).any() and not np.signbit(rep.Bc).any()
 
     def test_banded_zero_load(self):
         rep = solve_spd(_system(2 * np.eye(3) + np.eye(3, k=2) + np.eye(3, k=-2), np.zeros(3)))
         assert rep.method == "banded-cholesky"
         np.testing.assert_array_equal(rep.c, 0.0)
         np.testing.assert_array_equal(rep.Bc, 0.0)
+        assert not np.signbit(rep.c).any() and not np.signbit(rep.Bc).any()
+
+    @pytest.mark.parametrize("B", [np.ones((2, 2)), np.eye(3, k=2) + np.eye(3, k=-2) - np.eye(3)],
+                             ids=["singular-splu", "indefinite-banded"])
+    def test_zero_load_takes_the_factor(self, B):
+        # a zero load is factored and checked like any other load
+        with pytest.raises(SolverError):
+            solve_spd(_system(B, np.zeros(len(B))))
 
 
 BENCH_1D = [
@@ -558,8 +567,8 @@ class TestSolveBatch:
     def test_second_batch_leaves_the_templates(self):
         # two batches on one pattern with different values: the second
         # reuses the cached templates, gets its own bits, single solves'
-        # included (a zero load skips the block), and the templates keep
-        # their read-only zeros
+        # included (a zero load goes through the block too), and the
+        # templates keep their read-only zeros
         rng = np.random.default_rng(9)
 
         def systems():
